@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -13,7 +14,9 @@ from isummary.coverage import (
 from isummary.query_graph import build_graph
 from isummary.rng import XorShift64Star
 from isummary.summarizer import Summary, SummaryRequest, summarize
+from isummary.synth import SyntheticSpec, generate_synthetic
 from isummary.terms import Term, TriplePattern, iri
+from isummary.workload import load_workload
 
 from conftest import UNIVERSITY_QUERIES, store_from_texts
 
@@ -269,3 +272,20 @@ def test_evaluate_rng_seed_changes_folds():
     a = evaluate(store, CoverageConfig(folds=1, sample_seeds=2, rng_seed=1), [2], ["isummary"])
     b = evaluate(store, CoverageConfig(folds=1, sample_seeds=2, rng_seed=2), [2], ["isummary"])
     assert [r.seed for r in a.rows] != [r.seed for r in b.rows] or a.rows != b.rows
+
+
+# sha256 of the CSV below; any change to folds, seed sampling, subsets,
+# summaries or scoring shows up here as a different hash
+GOLDEN_SYNTH_CSV_SHA256 = "f867fc0c3371ae44b142bd42b3874bd0e4c8208fb6234da096fb966a511a7b6c"
+
+
+def test_evaluate_golden_csv_on_synthetic_log(tmp_path):
+    path = tmp_path / "synth.txt"
+    generate_synthetic(SyntheticSpec(n_queries=3000, rng_seed=1), path)
+    store = load_workload(path)
+    config = CoverageConfig(folds=3, sample_seeds=5, rng_seed=42)
+    result = evaluate(store, config, [2, 5, 10], ["isummary", "random"])
+    buf = io.StringIO()
+    write_csv(result.rows, buf)
+    assert len(result.rows) == 90
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == GOLDEN_SYNTH_CSV_SHA256
