@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -248,15 +247,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    threads = os.environ.get("ISUMMARY_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print("InvalidRequest: ISUMMARY_THREADS must be a positive integer",
-                  file=sys.stderr)
-            return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -162,7 +162,7 @@ def _sample_seed_terms(train: WorkloadStore, test: WorkloadStore, count: int,
     while len(chosen) < count and attempts < limit:
         attempts += 1
         candidate = pool[rng.randrange(len(pool))]
-        if candidate in picked or candidate not in test.term_index:
+        if candidate in picked or not test.filter((candidate,)):
             continue
         picked.add(candidate)
         chosen.append(candidate)

@@ -40,6 +40,11 @@ _REJECTED_KEYWORDS = {
     "GRAPH", "SERVICE", "ORDER", "GROUP", "HAVING", "INSERT", "DELETE",
 }
 
+# Nested groups recurse once per '{'.  Deep nesting would exhaust the Python
+# stack, and because nesting is flattened into one pattern list, a cap loses
+# nothing a summary could use.
+MAX_GROUP_DEPTH = 100
+
 _STRING_ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
 
 
@@ -94,6 +99,7 @@ class _Parser:
         self.prefixes: dict[str, str] = {}
         self.base_prefix = base_prefix or ""
         self.interned = intern
+        self.depth = 0
 
     def _intern(self, term: Term) -> Term:
         # loaders pass one shared cache so repeated terms share identity
@@ -229,6 +235,9 @@ class _Parser:
 
     def _parse_nested_group(self, patterns):
         """A '{ ... }' block, possibly chained with UNION; branches are flattened."""
+        self.depth += 1
+        if self.depth > MAX_GROUP_DEPTH:
+            self._error("group nesting too deep")
         while True:
             tok = self._peek()
             if tok is None or tok.kind != "PUNCT" or tok.value != "{":
@@ -241,6 +250,7 @@ class _Parser:
             if self._at_keyword("UNION"):
                 self._advance()
                 continue
+            self.depth -= 1
             return
 
     def _parse_triples_block(self, patterns):

@@ -27,14 +27,6 @@ def splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix(*values: int) -> int:
-    """Fold integers into one 64-bit value via chained splitmix64 steps."""
-    acc = 0
-    for v in values:
-        acc = splitmix64((acc ^ (v & _MASK64)) & _MASK64)
-    return acc
-
-
 class XorShift64Star:
     __slots__ = ("_state",)
 
@@ -57,11 +49,6 @@ class XorShift64Star:
         if n <= 0:
             raise ValueError("randrange bound must be positive")
         return self.next_u64() % n
-
-    def choice(self, xs):
-        if not xs:
-            raise ValueError("cannot choose from an empty sequence")
-        return xs[self.randrange(len(xs))]
 
     def shuffle(self, xs) -> None:
         for i in range(len(xs) - 1, 0, -1):

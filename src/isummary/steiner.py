@@ -62,25 +62,6 @@ class WeightedGraph:
             neighbors.sort()
         return adj
 
-    def components(self) -> list[int]:
-        """Connected-component label per node."""
-        adj = self.adjacency()
-        labels = [-1] * self.node_count
-        label = 0
-        for start in range(self.node_count):
-            if labels[start] != -1:
-                continue
-            stack = [start]
-            labels[start] = label
-            while stack:
-                node = stack.pop()
-                for nb in adj[node]:
-                    if labels[nb] == -1:
-                        labels[nb] = label
-                        stack.append(nb)
-            label += 1
-        return labels
-
 
 @dataclass(frozen=True)
 class SteinerInstance:

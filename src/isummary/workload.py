@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import logging
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -19,6 +20,10 @@ RQ_DIRECTORY = "rq-directory"
 TSV = "tsv"
 FORMATS = (RAW_LINES, URLENCODED_LINES, RQ_DIRECTORY, TSV)
 
+# Rejections logged one line each at WARNING; later ones go to DEBUG so a
+# large log with many rejects does not flood stderr.
+WARNED_REJECTIONS = 20
+
 
 class IoError(Exception):
     """Input path missing or unreadable."""
@@ -31,18 +36,20 @@ class EmptyWorkload(Exception):
 class WorkloadStore:
     """Parsed queries plus an inverted index from concrete terms to query ids.
 
-    Treated as immutable after construction; the lazy per-query graph cache
-    is an internal memo shared with subset stores (query ids are preserved
-    when subsetting, so cached graphs remain valid).
+    A store built from queries is a root: it owns the term index and the lazy
+    per-query graph and node-term memos.  ``subset`` returns a view that
+    shares all three with the root by reference and holds only its member
+    queries.  The shared index may name ids outside a view, so ``filter``,
+    ``ids`` and ``query`` answer for members only.  Query ids are never
+    renumbered, so memoized graphs stay valid in every view.  Treated as
+    immutable after construction.
     """
 
     __slots__ = (
         "queries", "rejected_count", "term_index", "_by_id", "_graphs", "_node_terms",
     )
 
-    def __init__(self, queries: Iterable[ParsedQuery], rejected_count: int = 0,
-                 graph_cache: dict[int, QueryGraph] | None = None,
-                 node_term_cache: dict[int, frozenset[Term]] | None = None):
+    def __init__(self, queries: Iterable[ParsedQuery], rejected_count: int = 0):
         self.queries: list[ParsedQuery] = list(queries)
         self.rejected_count = rejected_count
         self.term_index: dict[Term, set[int]] = {}
@@ -55,10 +62,8 @@ class WorkloadStore:
                 for term in pattern.terms():
                     if term.concrete:
                         self.term_index.setdefault(term, set()).add(q.id)
-        self._graphs: dict[int, QueryGraph] = {} if graph_cache is None else graph_cache
-        self._node_terms: dict[int, frozenset[Term]] = (
-            {} if node_term_cache is None else node_term_cache
-        )
+        self._graphs: dict[int, QueryGraph] = {}
+        self._node_terms: dict[int, frozenset[Term]] = {}
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -85,7 +90,7 @@ class WorkloadStore:
         return terms
 
     def filter(self, terms: Iterable[Term]) -> list[int]:
-        """Ids of queries containing every given term, ascending.
+        """Ids of member queries containing every given term, ascending.
 
         An empty term set matches every query.  Terms must be concrete.
         """
@@ -96,21 +101,23 @@ class WorkloadStore:
             ids = self.term_index.get(term)
             if not ids:
                 return []
-            result = set(ids) if result is None else result & ids
+            # `&` builds a new set: `result` may be one of the index's own sets
+            result = ids if result is None else result & ids
             if not result:
                 return []
         if result is None:
             return self.ids()
-        return sorted(result)
+        # members last: the term sets are intersected first, as they shrink fastest
+        return sorted(self._by_id.keys() & result)
 
     def subset(self, ids: Iterable[int]) -> "WorkloadStore":
-        """A store over the given query ids; ids and memo caches are shared."""
+        """A view over the member queries with the given ids, in this store's order."""
         wanted = set(ids)
-        picked = [q for q in self.queries if q.id in wanted]
-        return WorkloadStore(
-            picked, rejected_count=0,
-            graph_cache=self._graphs, node_term_cache=self._node_terms,
-        )
+        view = copy.copy(self)
+        view.queries = [q for q in self.queries if q.id in wanted]
+        view._by_id = {q.id: q for q in view.queries}
+        view.rejected_count = 0
+        return view
 
 
 def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -158,8 +165,10 @@ def load_workload(
     """Stream a query log from disk into a :class:`WorkloadStore`.
 
     Unparsable records are counted and logged with their line numbers rather
-    than aborting the load.  For ``tsv`` input the first row is treated as a
-    header and skipped silently if it fails to parse.
+    than aborting the load; past the first ``WARNED_REJECTIONS`` they are
+    logged at DEBUG and one closing WARNING gives the total.  For ``tsv``
+    input the first row is treated as a header and skipped silently if it
+    fails to parse.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown workload format: {format!r}")
@@ -187,8 +196,12 @@ def load_workload(
                 logger.debug("skipping header row of %s", path)
             else:
                 rejected += 1
-                logger.warning("rejected record at line %d of %s: %s", line_no, path, exc)
+                level = logging.WARNING if rejected <= WARNED_REJECTIONS else logging.DEBUG
+                logger.log(level, "rejected record at line %d of %s: %s", line_no, path, exc)
         first_record = False
+    if rejected > WARNED_REJECTIONS:
+        logger.warning("rejected %d records of %s; those after the first %d logged at DEBUG",
+                       rejected, path, WARNED_REJECTIONS)
     if not queries:
         raise EmptyWorkload(f"no parsable query in {path}")
     return WorkloadStore(queries, rejected_count=rejected)

@@ -187,8 +187,8 @@ def test_criterion_5_linear_scaling(tmp_path_factory):
 
 
 def _timed_summarize(store):
-    # fresh subset store per run: only parsed-query memos persist, so the
-    # measurement covers the whole summarize path for a popular seed
+    # a subset view per run shares the root's graph and node-term memos, so
+    # only the first run is cold; the best of three times the warm path
     t0 = time.perf_counter()
     summarize(store, SummaryRequest((iri("Class0"),), 10))
     return time.perf_counter() - t0

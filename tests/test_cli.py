@@ -136,10 +136,3 @@ def test_oracle_reads_instance_directory(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("tiny.txt,3,2,")
-
-
-def test_threads_env_validated(log_file, monkeypatch, capsys):
-    monkeypatch.setenv("ISUMMARY_THREADS", "zero")
-    assert main(["summarize", "--log", str(log_file), "--seed", "Person", "--k", "2"]) == 2
-    monkeypatch.setenv("ISUMMARY_THREADS", "2")
-    assert main(["summarize", "--log", str(log_file), "--seed", "Person", "--k", "2"]) == 0

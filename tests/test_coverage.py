@@ -4,9 +4,11 @@ import io
 import pytest
 
 from isummary.coverage import (
+    SEED_SAMPLING_SHORTFALL,
     CoverageConfig,
     InsufficientWorkload,
     NO_MATCHING_TEST_QUERIES,
+    _sample_seed_terms,
     coverage,
     evaluate,
     write_csv,
@@ -235,6 +237,20 @@ def test_evaluate_row_count_and_sorting():
     keys = [(r.fold, r.seed.sort_key(), r.k, r.strategy) for r in result.rows]
     assert keys == sorted(keys)
     assert len(result.fold_stats.fold_means) == 2
+
+
+def test_sampled_seeds_occur_in_test_part():
+    # Lab is a node of the train part only; the shared index still knows it
+    store = store_from_texts([
+        "SELECT ?x WHERE {?x a Person. ?x worksAt Lab}",
+        "SELECT ?x WHERE {?x a Person}",
+    ])
+    train, test = store.subset([0]), store.subset([1])
+    for rng_seed in range(20):
+        warnings = []
+        chosen = _sample_seed_terms(train, test, 2, XorShift64Star(rng_seed), warnings)
+        assert chosen == [PERSON]
+        assert warnings and warnings[0].startswith(SEED_SAMPLING_SHORTFALL)
 
 
 def test_evaluate_deterministic():

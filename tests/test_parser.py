@@ -127,6 +127,19 @@ def test_subquery_rejected():
     assert "subquer" in exc.value.reason
 
 
+def test_deep_nesting_rejected():
+    depth = 2000
+    with pytest.raises(ParseError) as exc:
+        parse_query("SELECT * WHERE " + "{" * depth + " ?s ?p ?o " + "}" * depth)
+    assert exc.value.reason == "group nesting too deep"
+
+
+def test_moderate_nesting_flattened():
+    depth = 50
+    patterns = patterns_of("SELECT * WHERE " + "{" * depth + " ?s p ?o " + "}" * depth)
+    assert patterns == (TriplePattern(variable("s"), iri("p"), variable("o")),)
+
+
 def test_semicolon_and_comma_sugar():
     patterns = patterns_of("SELECT ?x WHERE {?x a Person; knows ?y, ?z.}")
     assert len(patterns) == 3

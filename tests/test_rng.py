@@ -1,6 +1,6 @@
 from collections import Counter
 
-from isummary.rng import XorShift64Star, mix, splitmix64
+from isummary.rng import XorShift64Star, splitmix64
 
 MASK = (1 << 64) - 1
 
@@ -62,8 +62,3 @@ def test_sample_roughly_uniform():
         counts.update(rng.sample(range(8), 2))
     expected = 4000 * 2 / 8
     assert all(abs(c - expected) < expected * 0.2 for c in counts.values())
-
-
-def test_mix_is_order_sensitive():
-    assert mix(1, 2) != mix(2, 1)
-    assert mix(1, 2) == mix(1, 2)

@@ -32,12 +32,6 @@ def test_graph_validation():
         WeightedGraph((1.0, 1.0), ((0, 5),))
 
 
-def test_components_labeling():
-    g = WeightedGraph((1, 1, 1, 1), ((0, 1), (2, 3)))
-    labels = g.components()
-    assert labels[0] == labels[1] != labels[2] == labels[3]
-
-
 def test_instance_validation():
     g = path_graph([1, 1, 1])
     with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 from urllib.parse import quote
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isummary.parser import parse_query
+from isummary.query_graph import concrete_nodes
 from isummary.terms import iri, literal
-from isummary.workload import EmptyWorkload, IoError, load_workload
+from isummary.workload import EmptyWorkload, IoError, WorkloadStore, load_workload
 
 from conftest import UNIVERSITY_QUERIES, store_from_texts
 
@@ -45,6 +47,30 @@ def test_garbage_lines_counted(tmp_path, caplog):
     assert len(store) == 3
     assert store.rejected_count == 2
     assert "line 2" in caplog.text and "line 4" in caplog.text
+
+
+def test_deeply_nested_record_counted_as_rejected(tmp_path):
+    depth = 2000
+    path = tmp_path / "log.txt"
+    path.write_text(
+        "SELECT * WHERE " + "{" * depth + " ?s ?p ?o " + "}" * depth + "\n"
+        "SELECT ?x WHERE {?x a Person}\n",
+        encoding="utf-8",
+    )
+    store = load_workload(path, format="raw-lines")
+    assert len(store) == 1
+    assert store.rejected_count == 1
+
+
+def test_rejection_warnings_rate_limited(tmp_path, caplog):
+    path = tmp_path / "log.txt"
+    path.write_text("not sparql\n" * 50 + "SELECT ?x WHERE {?x a Person}\n", encoding="utf-8")
+    with caplog.at_level("WARNING", logger="isummary.workload"):
+        store = load_workload(path, format="raw-lines")
+    assert store.rejected_count == 50
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 21
+    assert "50" in warnings[-1].getMessage()
 
 
 def test_urlencoded_lines(tmp_path):
@@ -161,3 +187,69 @@ def test_filter_conjunction_property(a, b):
     union = set(store.filter(a | b))
     both = set(store.filter(a)) & set(store.filter(b))
     assert union == both
+
+
+def _assert_index_matches_scan(store):
+    scanned = {}
+    for q in store.queries:
+        for p in q.patterns:
+            for t in p.terms():
+                if t.concrete:
+                    scanned.setdefault(t, set()).add(q.id)
+    assert store.term_index == scanned
+
+
+_query_texts = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["A", "B", "?x", "?y"]),
+            st.sampled_from(["p", "q", "a"]),
+            st.sampled_from(["A", "B", "C", "?x", '"x"']),
+        ),
+        min_size=1, max_size=4,
+    ).map(lambda ps: "SELECT * WHERE {" + " . ".join(" ".join(p) for p in ps) + "}"),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), texts=_query_texts)
+def test_subset_view_property(data, texts):
+    # ids in shuffled order, so "parent order" differs from id order
+    ids = data.draw(st.permutations(range(len(texts))))
+    store = WorkloadStore(parse_query(t, query_id=i) for t, i in zip(texts, ids))
+    members = data.draw(st.sets(st.sampled_from(ids)))
+    others = data.draw(st.sets(st.sampled_from(ids)))
+    terms = data.draw(st.sets(st.sampled_from(_vocab + [iri("p"), iri("q")]), max_size=3))
+    sub = store.subset(members)
+
+    assert sub.filter(terms) == [i for i in store.filter(terms) if i in members]
+    assert sub.ids() == [i for i in store.ids() if i in members]
+    assert [q.id for q in sub.queries] == [q.id for q in store.queries if q.id in members]
+    assert len(sub) == len(members) and sub.rejected_count == 0
+    for outsider in set(ids) - members:
+        with pytest.raises(KeyError):
+            sub.query(outsider)
+
+    nested, direct = sub.subset(others), store.subset(members & others)
+    assert [q.id for q in nested.queries] == [q.id for q in direct.queries]
+    assert nested.filter(terms) == direct.filter(terms)
+    # the view shares the index; no lookup may have changed it
+    _assert_index_matches_scan(store)
+
+
+def test_subset_view_shares_root_index_and_memos(university_store):
+    sub = university_store.subset([1, 3]).subset([3])
+    assert sub.term_index is university_store.term_index
+    assert sub.graph(3) is university_store.graph(3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=_query_texts)
+@example(texts=["SELECT * WHERE {?x a B . ?x a A . ?x p ?y . ?y a C . ?y a A}"])
+@example(texts=["SELECT * WHERE {?x a C . ?x a B . ?x a ?y . ?y a A}"])
+def test_node_terms_match_collapsed_graph(texts):
+    # the memoized node-term path and the graph path must agree on type collapse
+    store = store_from_texts(texts)
+    for qid in store.ids():
+        assert store.node_terms(qid) == concrete_nodes(store.graph(qid))
