@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from isummary.query_graph import FORWARD
@@ -17,7 +19,9 @@ from isummary.summarizer import (
     to_json,
     to_ntriples,
 )
+from isummary.synth import SyntheticSpec, generate_synthetic
 from isummary.terms import Term, TriplePattern, iri, literal
+from isummary.workload import load_workload
 
 from conftest import UNIVERSITY_QUERIES, store_from_texts
 
@@ -361,3 +365,27 @@ def test_random_strategy_grounds_variables(university_store):
     for triple in summary.triples:
         for term in triple.terms():
             assert term.kind != "variable"
+
+
+# sha256 over the outputs of GOLDEN_REQUESTS, in order; any change to ranking,
+# linking, variable resolution, the random baseline or serialization shows up
+# here as a different hash
+GOLDEN_REQUESTS = (
+    ("Class0", 5, "isummary"), ("Class0", 10, "random"), ("Class0", 15, "isummary"),
+    ("Entity0", 5, "random"), ("Entity0", 10, "isummary"), ("Entity0", 15, "random"),
+)
+GOLDEN_SYNTH_NTRIPLES_SHA256 = "e522a5a1d7b72f652207879af5fa473300b2e6d450af8cb654971e9db74f1460"
+GOLDEN_SYNTH_JSON_SHA256 = "c4a1ecd92ad55db4bced4cfa97d30343dccb0898758e002d0510d754e7a4baca"
+
+
+def test_summarize_golden_hashes_on_synthetic_log(tmp_path):
+    path = tmp_path / "synth.txt"
+    generate_synthetic(SyntheticSpec(n_queries=3000, rng_seed=1), path)
+    store = load_workload(path)
+    ntriples, json_text = hashlib.sha256(), hashlib.sha256()
+    for seed, k, strategy in GOLDEN_REQUESTS:
+        summary = summarize(store, SummaryRequest((iri(seed),), k, strategy, random_seed=7))
+        ntriples.update(to_ntriples(summary).encode("utf-8"))
+        json_text.update(to_json(summary).encode("utf-8"))
+    assert ntriples.hexdigest() == GOLDEN_SYNTH_NTRIPLES_SHA256
+    assert json_text.hexdigest() == GOLDEN_SYNTH_JSON_SHA256
