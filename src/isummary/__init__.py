@@ -15,7 +15,6 @@ from .query_graph import (
     QueryGraph,
     build_graph,
     concrete_edges,
-    concrete_nodes,
     shortest_path,
 )
 from .steiner import (

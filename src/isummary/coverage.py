@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .query_graph import concrete_edges, concrete_nodes
+from .query_graph import concrete_edges
 from .rng import XorShift64Star
 from .summarizer import (
     NoRelevantQueries,
@@ -70,7 +70,6 @@ class CoverageReport:
     mean: float
     n: int
     warnings: tuple[str, ...] = ()
-    fold_stats: FoldStats | None = None
 
 
 def _edge_index(summary: Summary) -> dict[Term, list[tuple[Term, Term]]]:
@@ -99,9 +98,8 @@ def coverage(
 
     per_query = []
     for qid in test_store.filter(seeds):
-        graph = test_store.graph(qid)
-        nodes = concrete_nodes(graph)
-        edges = concrete_edges(graph)
+        nodes = test_store.node_terms(qid)
+        edges = concrete_edges(test_store.graph(qid))
         node_fraction = (
             sum(1 for n in nodes if n in universe) / len(nodes) if nodes else 0.0
         )

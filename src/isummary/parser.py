@@ -63,7 +63,6 @@ class ParsedQuery:
 
     id: int
     patterns: tuple[TriplePattern, ...]
-    raw: str
     source_line: int = 0
 
 
@@ -343,7 +342,10 @@ class _Parser:
             prefix, _, local = value.partition(":")
             if prefix not in self.prefixes:
                 self._error(f"unknown prefix {prefix + ':'!r}", tok)
-            return self._intern(iri(self.prefixes[prefix] + local))
+            expanded = self.prefixes[prefix] + local
+            if not expanded:
+                self._error("empty IRI", tok)
+            return self._intern(iri(expanded))
         return self._intern(iri(self.base_prefix + value))
 
     def _finish_literal(self, tok) -> Term:
@@ -426,14 +428,12 @@ def parse_query(
     supported subset, including property paths and subqueries.
     """
     patterns = _Parser(text, base_prefix, intern).parse()
-    return ParsedQuery(query_id, patterns, text, source_line)
+    return ParsedQuery(query_id, patterns, source_line)
 
 
 def parse_term(text: str, base_prefix: str | None = None) -> Term:
     """Parse a single term written in SPARQL surface syntax (for CLI seeds)."""
-    parser = _Parser("", base_prefix)
-    parser.text = text
-    parser.tokens = _tokenize(text)
+    parser = _Parser(text, base_prefix)
     term = parser._parse_term()
     if parser._peek() is not None:
         parser._error("trailing content after term")

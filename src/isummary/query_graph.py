@@ -1,4 +1,9 @@
-"""Per-query multigraphs: type collapse, concrete counts, canonical shortest paths."""
+"""Per-query multigraphs: type collapse, concrete counts, canonical shortest paths.
+
+Only ``build_graph`` applies type collapse.  It relabels a variable only by the
+IRI object of one of its own ``?v rdf:type C`` patterns, which is a concrete
+node already, so ``concrete_node_terms`` reads the node set from the patterns.
+"""
 
 from __future__ import annotations
 
@@ -52,12 +57,11 @@ class PathSignature:
 class QueryGraph:
     """Undirected labeled multigraph induced by one query after type collapse."""
 
-    __slots__ = ("nodes", "edges", "source_query_id", "_adj")
+    __slots__ = ("nodes", "edges", "_adj")
 
-    def __init__(self, nodes, edges, source_query_id: int):
+    def __init__(self, nodes, edges):
         self.nodes: frozenset[Term] = frozenset(nodes)
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self.source_query_id = source_query_id
         self._adj: dict[Term, list[tuple[Term, int, str]]] = {}
         for idx, edge in enumerate(self.edges):
             self._adj.setdefault(edge.source, []).append((edge.target, idx, FORWARD))
@@ -80,21 +84,14 @@ def _type_relabel(patterns) -> dict[Term, Term]:
 
 
 def concrete_node_terms(query: ParsedQuery) -> frozenset[Term]:
-    """Concrete nodes of the type-collapsed graph, skipping edge construction.
+    """Concrete subject and object terms, i.e. the concrete nodes of ``build_graph(query)``.
 
-    Agrees with ``concrete_nodes(build_graph(query))``; this is the hot path
-    for frequency counting over large relevant-query sets.
+    Type collapse never adds or removes one: a variable collapses only to the
+    class object of its own rdf:type pattern, which is counted here already.
     """
-    relabel = _type_relabel(query.patterns)
-    nodes = set()
-    for pattern in query.patterns:
-        subject = relabel.get(pattern.subject, pattern.subject)
-        if subject.kind != VARIABLE:
-            nodes.add(subject)
-        obj = relabel.get(pattern.object, pattern.object)
-        if obj.kind != VARIABLE:
-            nodes.add(obj)
-    return frozenset(nodes)
+    return frozenset(
+        t for p in query.patterns for t in (p.subject, p.object) if t.kind != VARIABLE
+    )
 
 
 def build_graph(query: ParsedQuery) -> QueryGraph:
@@ -122,11 +119,7 @@ def build_graph(query: ParsedQuery) -> QueryGraph:
         )
         if not absorbed:
             edges.append(Edge(subject, predicate, obj))
-    return QueryGraph(nodes, edges, query.id)
-
-
-def concrete_nodes(graph: QueryGraph) -> set[Term]:
-    return {t for t in graph.nodes if t.concrete}
+    return QueryGraph(nodes, edges)
 
 
 def concrete_edges(graph: QueryGraph) -> list[Edge]:

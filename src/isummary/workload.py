@@ -82,7 +82,8 @@ class WorkloadStore:
         return g
 
     def node_terms(self, query_id: int) -> frozenset[Term]:
-        """Concrete nodes of the query's collapsed graph (memoized)."""
+        """Concrete nodes of the query's graph (memoized), read from its patterns:
+        type collapse cannot change them (see ``concrete_node_terms``)."""
         terms = self._node_terms.get(query_id)
         if terms is None:
             terms = concrete_node_terms(self._by_id[query_id])

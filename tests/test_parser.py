@@ -56,6 +56,17 @@ def test_default_prefix():
     assert patterns[0].object == iri("http://ex.org/o")
 
 
+def test_empty_prefix_iri_rejected():
+    # a prefixed name that expands to nothing is an empty IRI, not a crash
+    for text in (
+        "PREFIX e: <> SELECT * WHERE { e: <p> <o> }",
+        'PREFIX e: <> SELECT * WHERE { <s> <p> "5"^^e: }',
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_query(text)
+        assert exc.value.reason == "empty IRI"
+
+
 def test_unknown_prefix_rejected():
     with pytest.raises(ParseError) as exc:
         parse_query("SELECT ?x WHERE {?x foaf:name ?n}")
@@ -221,6 +232,36 @@ _patterns = st.builds(TriplePattern, _subjects, _predicates, _objects)
 def test_canonical_round_trip(patterns):
     from isummary.parser import ParsedQuery
 
-    original = ParsedQuery(0, tuple(patterns), raw="", source_line=0)
+    original = ParsedQuery(0, tuple(patterns))
     reparsed = parse_query(canonical_text(original))
     assert reparsed.patterns == original.patterns
+
+
+# -- fuzz property --------------------------------------------------------------
+
+_SOUP_PROLOGUES = (
+    "", "SELECT * WHERE {", "PREFIX e: <> SELECT * WHERE {",
+    "PREFIX : <http://ex/> SELECT ?x WHERE {",
+)
+_SOUP_TOKENS = (
+    "PREFIX", "PREFIX e: <>", "PREFIX : <http://ex/>", "e:", "e:x", ":", ":o", "<>",
+    "<http://ex/p>", "SELECT", "DISTINCT", "*", "WHERE", "?x", "$y", "_:b", "a", "Person",
+    "42", "3.5", '"lit"', "'s'", '"lit"@en', "@en", '"5"^^e:', '"5"^^<http://dt>',
+    "^^", "^^e:x", "{", "}", "(", ")", ".", ";", ",", "/", "|", "+", "^", "!", "?",
+    "OPTIONAL", "UNION", "FILTER", "EXISTS", "NOT", "LIMIT", "OFFSET", "ORDER", "\\", '"',
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(_SOUP_PROLOGUES),
+    st.lists(st.tuples(st.sampled_from(_SOUP_TOKENS), st.sampled_from((" ", "", "\n"))),
+             max_size=25),
+)
+def test_token_soup_parses_or_raises_parse_error(prologue, soup):
+    text = prologue + "".join(token + sep for token, sep in soup)
+    try:
+        parsed = parse_query(text)
+    except ParseError:
+        return
+    assert parsed.patterns

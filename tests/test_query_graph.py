@@ -10,7 +10,6 @@ from isummary.query_graph import (
     Edge,
     build_graph,
     concrete_edges,
-    concrete_nodes,
     shortest_path,
 )
 from isummary.rng import XorShift64Star
@@ -19,6 +18,10 @@ from isummary.terms import RDF_TYPE, Term, iri, literal, variable
 
 def graph_of(text):
     return build_graph(parse_query(text))
+
+
+def concrete_nodes(graph):
+    return {t for t in graph.nodes if t.concrete}
 
 
 Q3 = 'SELECT ?x ?y WHERE {?x a Person. ?y a Organization. ?y affiliatedOf ?x. ?y orgName "FORTH".}'

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isummary.parser import parse_query
-from isummary.query_graph import concrete_nodes
 from isummary.terms import iri, literal
 from isummary.workload import EmptyWorkload, IoError, WorkloadStore, load_workload
 
@@ -54,6 +53,18 @@ def test_deeply_nested_record_counted_as_rejected(tmp_path):
     path = tmp_path / "log.txt"
     path.write_text(
         "SELECT * WHERE " + "{" * depth + " ?s ?p ?o " + "}" * depth + "\n"
+        "SELECT ?x WHERE {?x a Person}\n",
+        encoding="utf-8",
+    )
+    store = load_workload(path, format="raw-lines")
+    assert len(store) == 1
+    assert store.rejected_count == 1
+
+
+def test_empty_prefix_iri_record_counted_as_rejected(tmp_path):
+    path = tmp_path / "log.txt"
+    path.write_text(
+        "PREFIX e: <> SELECT * WHERE { e: <p> <o> }\n"
         "SELECT ?x WHERE {?x a Person}\n",
         encoding="utf-8",
     )
@@ -249,7 +260,7 @@ def test_subset_view_shares_root_index_and_memos(university_store):
 @example(texts=["SELECT * WHERE {?x a B . ?x a A . ?x p ?y . ?y a C . ?y a A}"])
 @example(texts=["SELECT * WHERE {?x a C . ?x a B . ?x a ?y . ?y a A}"])
 def test_node_terms_match_collapsed_graph(texts):
-    # the memoized node-term path and the graph path must agree on type collapse
+    # node terms skip type collapse; the collapsed graph must have the same concrete nodes
     store = store_from_texts(texts)
     for qid in store.ids():
-        assert store.node_terms(qid) == concrete_nodes(store.graph(qid))
+        assert store.node_terms(qid) == {t for t in store.graph(qid).nodes if t.concrete}
