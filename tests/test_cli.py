@@ -136,3 +136,50 @@ def test_oracle_reads_instance_directory(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("tiny.txt,3,2,")
+
+
+@pytest.mark.parametrize("options", [
+    ["--format", "tsv"],
+    ["--tsv-column", "1"],
+    ["--format", "raw-lines", "--tsv-column", "0"],
+    ["--format", "tsv", "--tsv-column", "-5"],
+    ["--format", "tsv", "--tsv-column", "-1"],
+])
+def test_log_option_usage_errors_exit_two(options, tmp_path, capsys):
+    # the log does not exist: a usage error must be reported before any load
+    absent = str(tmp_path / "absent.tsv")
+    for command in (
+        ["summarize", "--seed", "Person", "--k", "2"],
+        ["evaluate"],
+    ):
+        assert main(command + ["--log", absent] + options) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budgets", ["", "0", "5,0", "5,-1", "5,,10", "x"])
+def test_evaluate_bad_budget_list_exits_two_before_load(budgets, tmp_path, capsys):
+    code = main(["evaluate", "--log", str(tmp_path / "absent.txt"), "--k", budgets])
+    assert code == 2
+    assert "IoError" not in capsys.readouterr().err
+
+
+def test_summarize_request_checked_before_load(tmp_path, capsys):
+    code = main([
+        "summarize", "--log", str(tmp_path / "absent.txt"),
+        "--seed", "Person", "--seed", "Organization", "--k", "1",
+    ])
+    assert code == 2
+    assert "InvalidRequest" in capsys.readouterr().err
+
+
+def test_tsv_log_with_column(tmp_path, capsys):
+    path = tmp_path / "log.tsv"
+    path.write_text(
+        "".join(f"{i}\t{line}\n" for i, line in enumerate(UNIVERSITY_FILE.read_text(
+            encoding="utf-8").splitlines())),
+        encoding="utf-8",
+    )
+    code = main(["summarize", "--log", str(path), "--format", "tsv", "--tsv-column", "1",
+                 "--seed", "Person", "--k", "2"])
+    assert code == 0
+    assert capsys.readouterr().out == "<Organization> <affiliatedOf> <Person> .\n"

@@ -264,3 +264,52 @@ def test_node_terms_match_collapsed_graph(texts):
     store = store_from_texts(texts)
     for qid in store.ids():
         assert store.node_terms(qid) == {t for t in store.graph(qid).nodes if t.concrete}
+
+
+# -- term table ----------------------------------------------------------------
+
+_SPELLINGS_LOG = (
+    "PREFIX ex: <http://ex.org/> SELECT * WHERE { <http://ex.org/A> ex:p ?x . ?x ex:q \"v\"@en }\n"
+    "PREFIX ex: <http://ex.org/> SELECT * WHERE { ex:A ex:q \"5\"^^ex:int . ?x ex:p ex:int }\n"
+    "SELECT * WHERE { A p ?x . ?x q \"v\"@en . _:b p A . ?y ?x 7 }\n"
+    "SELECT * WHERE { A p 7 . _:b q ?y }\n"
+)
+
+
+def test_load_builds_each_distinct_term_once(tmp_path, monkeypatch):
+    from isummary.terms import Term
+
+    path = tmp_path / "log.txt"
+    path.write_text(_SPELLINGS_LOG, encoding="utf-8")
+    built = []
+    post_init = Term.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Term, "__post_init__", counting)
+    store = load_workload(path, format="raw-lines", base_prefix="http://ex.org/")
+    spelled = {t for q in store.queries for p in q.patterns for t in p.terms()}
+    assert len(store) == 4
+    assert len(built) == len(spelled) == 10
+
+
+def test_load_shares_one_object_per_iri_across_spellings(tmp_path):
+    path = tmp_path / "log.txt"
+    path.write_text(_SPELLINGS_LOG, encoding="utf-8")
+    store = load_workload(path, format="raw-lines", base_prefix="http://ex.org/")
+    a_ref, a_prefixed, a_bare = (store.query(i).patterns[0].subject for i in (0, 1, 2))
+    assert a_ref == iri("http://ex.org/A")
+    assert a_ref is a_prefixed is a_bare is store.query(3).patterns[0].subject
+    # without a table the parser still returns equal terms
+    alone = [parse_query(line, base_prefix="http://ex.org/")
+             for line in _SPELLINGS_LOG.splitlines()]
+    assert [q.patterns for q in alone] == [q.patterns for q in store.queries]
+
+
+def test_negative_tsv_column_rejected(tmp_path):
+    path = tmp_path / "log.tsv"
+    path.write_text("1\tSELECT ?x WHERE {?x a Person}\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_workload(path, format="tsv", tsv_column=-1)
