@@ -10,7 +10,6 @@ from .coverage import (
 )
 from .parser import ParsedQuery, ParseError, canonical_text, parse_query, parse_term
 from .query_graph import (
-    Edge,
     PathSignature,
     QueryGraph,
     build_graph,

@@ -36,10 +36,8 @@ def _positive_int(value: str) -> int:
 
 
 def _int_list(value: str) -> list[int]:
-    try:
-        return [int(part) for part in value.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list") from exc
+    """A non-empty comma-separated list of positive integers."""
+    return [_positive_int(part) for part in value.split(",")]
 
 
 def _add_log_options(sub):
@@ -47,7 +45,8 @@ def _add_log_options(sub):
     sub.add_argument("--format", default=workload.RAW_LINES, choices=workload.FORMATS,
                      help="log encoding (default: raw-lines)")
     sub.add_argument("--tsv-column", type=int, default=None,
-                     help="0-based column holding the query text (tsv format only)")
+                     help="0-based column holding the query text (required with tsv,"
+                          " rejected otherwise)")
     sub.add_argument("--base-prefix", default=None,
                      help="IRI prefix applied to bare names in queries and seeds")
 
@@ -105,6 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_log_options(parser, args) -> None:
+    column = getattr(args, "tsv_column", None)
+    if hasattr(args, "log") and (column is None) == (args.format == workload.TSV):
+        parser.error("--tsv-column is required with --format tsv and rejected otherwise")
+    if column is not None and column < 0:
+        parser.error("--tsv-column is 0-based")
+
+
 def _load(args) -> workload.WorkloadStore:
     return workload.load_workload(
         args.log, format=args.format, tsv_column=args.tsv_column,
@@ -118,7 +125,6 @@ def _cmd_summarize(args) -> int:
     except ParseError as exc:
         print(f"InvalidRequest: bad seed term: {exc}", file=sys.stderr)
         return 2
-    store = _load(args)
     try:
         request = summarizer.SummaryRequest(
             seeds, args.k, args.strategy, random_seed=args.random_seed
@@ -126,6 +132,7 @@ def _cmd_summarize(args) -> int:
     except summarizer.InvalidRequest as exc:
         print(f"InvalidRequest: {exc}", file=sys.stderr)
         return 2
+    store = _load(args)
     summary = summarizer.summarize(store, request)
     triples = summarizer.to_ntriples(summary)
     if args.out:
@@ -250,6 +257,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_log_options(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

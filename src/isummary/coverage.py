@@ -106,9 +106,9 @@ def coverage(
         covered = 0
         for edge in edges:
             for subject, obj in by_predicate.get(edge.predicate, ()):
-                if edge.source.concrete and edge.source != subject:
+                if edge.subject.concrete and edge.subject != subject:
                     continue
-                if edge.target.concrete and edge.target != obj:
+                if edge.object.concrete and edge.object != obj:
                     continue
                 covered += 1
                 break

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .terms import RDF_TYPE, Term, TriplePattern, iri, variable
+from .terms import BLANK, IRI, LITERAL, RDF_TYPE, VARIABLE, Term, TriplePattern
 
 _TOKEN_RE = re.compile(
     r"""
@@ -97,14 +97,16 @@ class _Parser:
         self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.base_prefix = base_prefix or ""
-        self.interned = intern
+        self.terms = {} if intern is None else intern
         self.depth = 0
 
-    def _intern(self, term: Term) -> Term:
-        # loaders pass one shared cache so repeated terms share identity
-        if self.interned is None:
-            return term
-        return self.interned.setdefault(term, term)
+    def _term(self, kind: str, lexical: str, extra: str | None = None) -> Term:
+        # a Term is built, and validated, only for a key the table lacks
+        key = (kind, lexical, extra)
+        term = self.terms.get(key)
+        if term is None:
+            term = self.terms[key] = Term(kind, lexical, extra)
+        return term
 
     # -- token plumbing ----------------------------------------------------
 
@@ -292,7 +294,7 @@ class _Parser:
             return RDF_TYPE
         if tok.kind == "VAR":
             self._advance()
-            return self._intern(variable(tok.value[1:]))
+            return self._term(VARIABLE, tok.value[1:])
         if tok.kind == "IRIREF":
             self._advance()
             return self._iri_from_ref(tok)
@@ -313,13 +315,13 @@ class _Parser:
         if tok.kind == "OTHER":
             self._error(f"unexpected character {tok.value!r}", tok)
         if tok.kind == "VAR":
-            return self._intern(variable(tok.value[1:]))
+            return self._term(VARIABLE, tok.value[1:])
         if tok.kind == "IRIREF":
             return self._iri_from_ref(tok)
         if tok.kind == "BLANK":
-            return self._intern(Term("blank", tok.value[2:]))
+            return self._term(BLANK, tok.value[2:])
         if tok.kind == "NUMBER":
-            return self._intern(Term("literal", tok.value))
+            return self._term(LITERAL, tok.value)
         if tok.kind == "STRING":
             return self._finish_literal(tok)
         if tok.kind == "NAME":
@@ -334,7 +336,7 @@ class _Parser:
         inner = tok.value[1:-1]
         if not inner:
             self._error("empty IRI", tok)
-        return self._intern(iri(inner))
+        return self._term(IRI, inner)
 
     def _term_from_name(self, tok) -> Term:
         value = tok.value
@@ -345,15 +347,15 @@ class _Parser:
             expanded = self.prefixes[prefix] + local
             if not expanded:
                 self._error("empty IRI", tok)
-            return self._intern(iri(expanded))
-        return self._intern(iri(self.base_prefix + value))
+            return self._term(IRI, expanded)
+        return self._term(IRI, self.base_prefix + value)
 
     def _finish_literal(self, tok) -> Term:
         lexical = self._decode_string(tok)
         nxt = self._peek()
         if nxt is not None and nxt.kind == "LANGTAG":
             self._advance()
-            return self._intern(Term("literal", lexical, nxt.value))
+            return self._term(LITERAL, lexical, nxt.value)
         if nxt is not None and nxt.kind == "DTSEP":
             self._advance()
             dt_tok = self._advance()
@@ -363,8 +365,8 @@ class _Parser:
                 dt = self._term_from_name(dt_tok)
             else:
                 self._error("expected datatype IRI", dt_tok)
-            return self._intern(Term("literal", lexical, dt.lexical))
-        return self._intern(Term("literal", lexical))
+            return self._term(LITERAL, lexical, dt.lexical)
+        return self._term(LITERAL, lexical)
 
     def _decode_string(self, tok) -> str:
         body = tok.value[1:-1]
@@ -423,6 +425,10 @@ def parse_query(
     intern: dict | None = None,
 ) -> ParsedQuery:
     """Parse one query into its triple patterns.
+
+    ``intern`` maps ``(kind, lexical, datatype_or_lang)`` to the :class:`Term`
+    built for it; pass one per log, so each distinct term is built and validated
+    once and is one shared object across the log's queries.
 
     Raises :class:`ParseError` (with a byte offset) for anything outside the
     supported subset, including property paths and subqueries.

@@ -1,6 +1,8 @@
 """Per-query multigraphs: type collapse, concrete counts, canonical shortest paths.
 
-Only ``build_graph`` applies type collapse.  It relabels a variable only by the
+A query graph's edges are the triple patterns of the type-collapsed query:
+each edge runs from its subject to its object.  Only ``build_graph`` applies
+type collapse.  It relabels a variable only by the
 IRI object of one of its own ``?v rdf:type C`` patterns, which is a concrete
 node already, so ``concrete_node_terms`` reads the node set from the patterns.
 """
@@ -12,18 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .parser import ParsedQuery
-from .terms import RDF_TYPE, IRI, VARIABLE, Term
+from .terms import RDF_TYPE, IRI, VARIABLE, Term, TriplePattern
 
 FORWARD = "forward"
 BACKWARD = "backward"
-
-
-class Edge(NamedTuple):
-    """Undirected edge; (source, target) records the as-written orientation."""
-
-    source: Term
-    predicate: Term
-    target: Term
 
 
 class Step(NamedTuple):
@@ -55,17 +49,21 @@ class PathSignature:
 
 
 class QueryGraph:
-    """Undirected labeled multigraph induced by one query after type collapse."""
+    """Undirected labeled multigraph induced by one query after type collapse.
+
+    ``edges`` are the collapsed query's triple patterns; the subject-to-object
+    direction of each is its as-written orientation.
+    """
 
     __slots__ = ("nodes", "edges", "_adj")
 
     def __init__(self, nodes, edges):
         self.nodes: frozenset[Term] = frozenset(nodes)
-        self.edges: tuple[Edge, ...] = tuple(edges)
+        self.edges: tuple[TriplePattern, ...] = tuple(edges)
         self._adj: dict[Term, list[tuple[Term, int, str]]] = {}
         for idx, edge in enumerate(self.edges):
-            self._adj.setdefault(edge.source, []).append((edge.target, idx, FORWARD))
-            self._adj.setdefault(edge.target, []).append((edge.source, idx, BACKWARD))
+            self._adj.setdefault(edge.subject, []).append((edge.object, idx, FORWARD))
+            self._adj.setdefault(edge.object, []).append((edge.subject, idx, BACKWARD))
 
 
 def _type_relabel(patterns) -> dict[Term, Term]:
@@ -100,12 +98,13 @@ def build_graph(query: ParsedQuery) -> QueryGraph:
     A variable with rdf:type patterns naming concrete classes is relabeled by
     its class everywhere; the pattern naming the chosen class is absorbed.
     With several distinct classes the lexicographically least one is chosen
-    and the other type patterns stay as ordinary edges.
+    and the other type patterns stay as ordinary edges.  A pattern that
+    collapse leaves unchanged is its own edge.
     """
     relabel = _type_relabel(query.patterns)
 
     nodes: set[Term] = set()
-    edges: list[Edge] = []
+    edges: list[TriplePattern] = []
     for pattern in query.patterns:
         subject = relabel.get(pattern.subject, pattern.subject)
         predicate = relabel.get(pattern.predicate, pattern.predicate)
@@ -118,11 +117,12 @@ def build_graph(query: ParsedQuery) -> QueryGraph:
             and pattern.object == relabel[pattern.subject]
         )
         if not absorbed:
-            edges.append(Edge(subject, predicate, obj))
+            edge = (subject, predicate, obj)
+            edges.append(pattern if edge == pattern else TriplePattern(*edge))
     return QueryGraph(nodes, edges)
 
 
-def concrete_edges(graph: QueryGraph) -> list[Edge]:
+def concrete_edges(graph: QueryGraph) -> list[TriplePattern]:
     """Edges with a concrete predicate; variable endpoints are permitted."""
     return [e for e in graph.edges if e.predicate.concrete]
 
@@ -147,7 +147,7 @@ def _make_signature(graph: QueryGraph, start: Term, walk) -> PathSignature:
         edge = graph.edges[edge_idx]
         predicates.append(edge.predicate)
         directions.append(direction)
-        nodes.append(edge.target if direction == FORWARD else edge.source)
+        nodes.append(edge.object if direction == FORWARD else edge.subject)
 
     if nodes[0].sort_key() > nodes[-1].sort_key():
         nodes.reverse()

@@ -17,6 +17,10 @@ from .rng import XorShift64Star
 
 EXACT_NODE_LIMIT = 16
 
+# Size caps of random_instance, well inside the exact solver's reach.
+RANDOM_MAX_NODES = 12
+RANDOM_MAX_K = 6
+
 
 class Infeasible(Exception):
     """No connected subset of the requested size contains all terminals."""
@@ -226,16 +230,6 @@ def tree_cost(costs, tree: Tree) -> float:
     return sum(costs[v] for v in tree.nodes)
 
 
-def write_instance(instance: SteinerInstance, path) -> None:
-    graph = instance.graph
-    terminals = sorted(instance.terminals)
-    lines = [f"{graph.node_count} {len(graph.edges)} {len(terminals)} {instance.k}"]
-    lines.append(" ".join(repr(w) for w in graph.weights))
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
-    lines.append(" ".join(str(t) for t in terminals))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def read_instance(path) -> SteinerInstance:
     """Parse the whitespace-separated fixture format: n m t k, weights, edges, terminals."""
     tokens = Path(path).read_text(encoding="utf-8").split()
@@ -256,14 +250,9 @@ def read_instance(path) -> SteinerInstance:
     return SteinerInstance(WeightedGraph(weights, edges), terminals, k)
 
 
-def random_instance(
-    rng: XorShift64Star,
-    max_nodes: int = 12,
-    max_k: int = 6,
-    extra_edge_rate: float = 0.35,
-) -> SteinerInstance:
+def random_instance(rng: XorShift64Star, extra_edge_rate: float = 0.35) -> SteinerInstance:
     """Random connected instance: attachment tree plus extra edges, U[0,1] weights."""
-    n = 4 + rng.randrange(max_nodes - 3)
+    n = 4 + rng.randrange(RANDOM_MAX_NODES - 3)
     edges = set()
     for v in range(1, n):
         edges.add((rng.randrange(v), v))
@@ -272,8 +261,8 @@ def random_instance(
             if (u, v) not in edges and rng.random() < extra_edge_rate:
                 edges.add((u, v))
     weights = tuple(rng.random() for _ in range(n))
-    lam = 1 + rng.randrange(min(3, max_k))
+    lam = 1 + rng.randrange(min(3, RANDOM_MAX_K))
     terminals = frozenset(rng.sample(range(n), lam))
-    k_cap = min(max_k, n)
+    k_cap = min(RANDOM_MAX_K, n)
     k = lam + rng.randrange(k_cap - lam + 1) if k_cap > lam else lam
     return SteinerInstance(WeightedGraph(weights, tuple(sorted(edges))), terminals, k)

@@ -146,36 +146,15 @@ def link(
     return min(tally, key=lambda s: (-tally[s], len(s.steps), s.sort_key()))
 
 
-def _position_counts(store: WorkloadStore, predicate: Term, side: str) -> Counter:
-    """Distinct-query counts of concrete terms in (predicate, side) position."""
+def _slot_counts(store: WorkloadStore, anchor: Term, anchor_slot: str, slot: str) -> Counter:
+    """Distinct-query counts of the concrete terms in ``slot`` of patterns
+    that hold ``anchor`` in ``anchor_slot`` (slots are TriplePattern fields)."""
+    at, of = TriplePattern._fields.index(anchor_slot), TriplePattern._fields.index(slot)
     counts: Counter = Counter()
-    for qid in store.filter((predicate,)):
-        seen = set()
-        for pattern in store.query(qid).patterns:
-            if pattern.predicate != predicate:
-                continue
-            term = pattern.subject if side == "subject" else pattern.object
-            if term.concrete:
-                seen.add(term)
-        for term in seen:
-            counts[term] += 1
-    return counts
-
-
-def _predicate_counts(store: WorkloadStore, source: Term, target: Term) -> Counter:
-    """Distinct-query counts of concrete predicates seen next to either endpoint."""
-    counts: Counter = Counter()
-    for anchor, side in ((source, "subject"), (target, "object")):
-        if not anchor.concrete:
-            continue
-        for qid in store.filter((anchor,)):
-            seen = set()
-            for pattern in store.query(qid).patterns:
-                end = pattern.subject if side == "subject" else pattern.object
-                if end == anchor and pattern.predicate.concrete:
-                    seen.add(pattern.predicate)
-            for term in seen:
-                counts[term] += 1
+    for qid in store.filter((anchor,)):
+        counts.update({
+            p[of] for p in store.query(qid).patterns if p[at] == anchor and p[of].concrete
+        })
     return counts
 
 
@@ -212,13 +191,13 @@ def resolve_variables(
         counts: Counter = Counter()
         incoming_side = "object" if step.direction == FORWARD else "subject"
         if step.predicate.concrete:
-            counts.update(_position_counts(store, step.predicate, incoming_side))
+            counts.update(_slot_counts(store, step.predicate, "predicate", incoming_side))
         outgoing_side = None
         if index + 1 < len(path.steps):
             nxt = path.steps[index + 1]
             outgoing_side = "subject" if nxt.direction == FORWARD else "object"
             if nxt.predicate.concrete:
-                counts.update(_position_counts(store, nxt.predicate, outgoing_side))
+                counts.update(_slot_counts(store, nxt.predicate, "predicate", outgoing_side))
         if "subject" in (incoming_side, outgoing_side):
             # the substitution will be written as a subject somewhere
             counts = Counter({t: c for t, c in counts.items() if t.kind != LITERAL})
@@ -244,7 +223,11 @@ def resolve_variables(
         predicate = step.predicate
         if predicate.kind == VARIABLE:
             source, target = (current, waypoint) if step.direction == FORWARD else (waypoint, current)
-            mined = _most_frequent(_predicate_counts(store, source, target))
+            counts = Counter()
+            for anchor, side in ((source, "subject"), (target, "object")):
+                if anchor.concrete:
+                    counts.update(_slot_counts(store, anchor, side, "predicate"))
+            mined = _most_frequent(counts)
             if mined is None:
                 warnings.append(SummaryWarning(
                     UNRESOLVED_VARIABLE,
@@ -353,16 +336,16 @@ def _random_summary(store, request, relevant, warnings):
         wanted = set(chosen)
         for qid in relevant:
             for edge in store.graph(qid).edges:
-                if edge.source in wanted:
-                    incident[edge.source].add(edge)
-                if edge.target in wanted:
-                    incident[edge.target].add(edge)
+                if edge.subject in wanted:
+                    incident[edge.subject].add(edge)
+                if edge.object in wanted:
+                    incident[edge.object].add(edge)
 
     triples: list[TriplePattern] = []
     seen: set[TriplePattern] = set()
     blanks = itertools.count()
     for term, _ in selected:
-        edges = sorted(incident[term], key=lambda e: (e.source.sort_key(), e.predicate.sort_key(), e.target.sort_key()))
+        edges = sorted(incident[term], key=TriplePattern.sort_key)
         if not edges:
             warnings.append(SummaryWarning(
                 ISOLATED_NODE,
@@ -391,7 +374,7 @@ def _random_summary(store, request, relevant, warnings):
                 ))
             return substitutions[t]
 
-        _append_unique(triples, seen, [TriplePattern(ground(edge.source), edge.predicate, ground(edge.target))])
+        _append_unique(triples, seen, [TriplePattern(ground(edge.subject), edge.predicate, ground(edge.object))])
     return triples, nodes
 
 

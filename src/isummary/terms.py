@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 IRI = "iri"
 LITERAL = "literal"
@@ -129,22 +130,29 @@ def term_from_json(obj: dict) -> Term:
 RDF_TYPE = Term(IRI, RDF_TYPE_IRI)
 
 
-@dataclass(frozen=True)
-class TriplePattern:
-    """One triple pattern; membership mirrors well-formed RDF with variables."""
-
+class _Triple(NamedTuple):
     subject: Term
     predicate: Term
     object: Term
 
-    def __post_init__(self):
-        if self.subject.kind == LITERAL:
+
+class TriplePattern(_Triple):
+    """One triple pattern; membership mirrors well-formed RDF with variables.
+
+    A tuple of its three terms, so it hashes and compares as ``(s, p, o)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subject: Term, predicate: Term, object: Term):
+        if subject.kind == LITERAL:
             raise ValueError("triple subject cannot be a literal")
-        if self.predicate.kind not in (IRI, VARIABLE):
+        if predicate.kind not in (IRI, VARIABLE):
             raise ValueError("triple predicate must be an IRI or a variable")
+        return tuple.__new__(cls, (subject, predicate, object))
 
     def terms(self) -> tuple[Term, Term, Term]:
-        return (self.subject, self.predicate, self.object)
+        return tuple(self)
 
     def sort_key(self):
         return (self.subject.sort_key(), self.predicate.sort_key(), self.object.sort_key())

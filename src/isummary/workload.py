@@ -175,6 +175,8 @@ def load_workload(
         raise ValueError(f"unknown workload format: {format!r}")
     if (tsv_column is None) == (format == TSV):
         raise ValueError("tsv_column is required for tsv input and invalid otherwise")
+    if tsv_column is not None and tsv_column < 0:
+        raise ValueError(f"tsv_column must be 0-based, got {tsv_column}")
     path = Path(path)
     if not path.exists():
         raise IoError(f"no such path: {path}")
@@ -182,7 +184,7 @@ def load_workload(
     queries: list[ParsedQuery] = []
     rejected = 0
     first_record = True
-    intern: dict[Term, Term] = {}
+    terms: dict[tuple, Term] = {}
     for line_no, text in _iter_records(path, format, tsv_column):
         if not text.strip():
             first_record = False
@@ -190,7 +192,7 @@ def load_workload(
         try:
             queries.append(
                 parse_query(text, query_id=len(queries), source_line=line_no,
-                            base_prefix=base_prefix, intern=intern)
+                            base_prefix=base_prefix, intern=terms)
             )
         except ParseError as exc:
             if format == TSV and first_record:

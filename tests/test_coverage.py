@@ -129,7 +129,7 @@ def test_containing_whole_query_graph_is_full_coverage(university_store):
     graph = build_graph(university_store.query(2))
     nodes = tuple((t, 1) for t in sorted(graph.nodes, key=Term.sort_key))
     summary = Summary(
-        triples=tuple(TriplePattern(e.source, e.predicate, e.target) for e in graph.edges),
+        triples=graph.edges,
         nodes=nodes,
         warnings=(),
         seeds=(PERSON,),
@@ -166,9 +166,9 @@ def brute_force_coverage(summary, test_store, seeds, config):
             for triple in summary.triples:
                 if triple.predicate != edge.predicate:
                     continue
-                if edge.source.concrete and edge.source != triple.subject:
+                if edge.subject.concrete and edge.subject != triple.subject:
                     continue
-                if edge.target.concrete and edge.target != triple.object:
+                if edge.object.concrete and edge.object != triple.object:
                     continue
                 hit_edges += 1
                 break

@@ -7,13 +7,12 @@ from isummary.parser import parse_query
 from isummary.query_graph import (
     BACKWARD,
     FORWARD,
-    Edge,
     build_graph,
     concrete_edges,
     shortest_path,
 )
 from isummary.rng import XorShift64Star
-from isummary.terms import RDF_TYPE, Term, iri, literal, variable
+from isummary.terms import RDF_TYPE, Term, TriplePattern, iri, literal, variable
 
 
 def graph_of(text):
@@ -31,8 +30,8 @@ def test_q3_type_collapse():
     g = graph_of(Q3)
     assert g.nodes == {iri("Person"), iri("Organization"), literal("FORTH")}
     assert set(g.edges) == {
-        Edge(iri("Organization"), iri("affiliatedOf"), iri("Person")),
-        Edge(iri("Organization"), iri("orgName"), literal("FORTH")),
+        TriplePattern(iri("Organization"), iri("affiliatedOf"), iri("Person")),
+        TriplePattern(iri("Organization"), iri("orgName"), literal("FORTH")),
     }
 
 
@@ -46,26 +45,40 @@ def test_no_collapse_without_type_patterns():
     g = graph_of("SELECT * WHERE {?x p ?y. ?y q ?z.}")
     assert g.nodes == {variable("x"), variable("y"), variable("z")}
     assert set(g.edges) == {
-        Edge(variable("x"), iri("p"), variable("y")),
-        Edge(variable("y"), iri("q"), variable("z")),
+        TriplePattern(variable("x"), iri("p"), variable("y")),
+        TriplePattern(variable("y"), iri("q"), variable("z")),
     }
 
 
 def test_multi_typed_variable_keeps_least_class():
     g = graph_of("SELECT ?x WHERE {?x a Zebra. ?x a Animal. ?x eats Grass.}")
     assert iri("Animal") in g.nodes and iri("Zebra") in g.nodes
-    assert Edge(iri("Animal"), RDF_TYPE, iri("Zebra")) in g.edges
-    assert Edge(iri("Animal"), iri("eats"), iri("Grass")) in g.edges
+    assert TriplePattern(iri("Animal"), RDF_TYPE, iri("Zebra")) in g.edges
+    assert TriplePattern(iri("Animal"), iri("eats"), iri("Grass")) in g.edges
 
 
 def test_concrete_subject_type_pattern_stays_edge():
     g = graph_of("SELECT * WHERE {Fanis a Person.}")
-    assert Edge(iri("Fanis"), RDF_TYPE, iri("Person")) in g.edges
+    assert TriplePattern(iri("Fanis"), RDF_TYPE, iri("Person")) in g.edges
 
 
 def test_variable_class_type_pattern_stays_edge():
     g = graph_of("SELECT * WHERE {?x a ?c.}")
-    assert g.edges == (Edge(variable("x"), RDF_TYPE, variable("c")),)
+    assert g.edges == (TriplePattern(variable("x"), RDF_TYPE, variable("c")),)
+
+
+def test_patterns_left_unchanged_by_collapse_are_the_edges():
+    query = parse_query(
+        "SELECT * WHERE {?x a Person. ?x knows ?y. ?y name ?n. Ann knows Bob. ?x a Agent.}"
+    )
+    edges = build_graph(query).edges
+    # ?x collapses to Agent: its patterns change, the other two stay as written
+    assert edges[2] is query.patterns[2] and edges[3] is query.patterns[3]
+    assert edges[:2] == (
+        TriplePattern(iri("Agent"), RDF_TYPE, iri("Person")),
+        TriplePattern(iri("Agent"), iri("knows"), variable("y")),
+    )
+    assert len(edges) == 4
 
 
 def test_collapse_idempotent():
@@ -73,10 +86,7 @@ def test_collapse_idempotent():
     # rebuilding from the collapsed edge list finds nothing left to absorb
     requeried = parse_query(
         "SELECT * WHERE { "
-        + " . ".join(
-            f"{e.source.to_sparql()} {e.predicate.to_sparql()} {e.target.to_sparql()}"
-            for e in g.edges
-        )
+        + " . ".join(e.to_sparql() for e in g.edges)
         + " }"
     )
     g2 = build_graph(requeried)
@@ -204,7 +214,7 @@ def test_shortest_path_length_matches_networkx_oracle():
             continue
         nxg = nx.MultiGraph()
         nxg.add_nodes_from(nodes)
-        nxg.add_edges_from((e.source, e.target) for e in g.edges)
+        nxg.add_edges_from((e.subject, e.object) for e in g.edges)
         x, y = nodes[rng.randrange(len(nodes))], nodes[rng.randrange(len(nodes))]
         if x == y or not (x.concrete and y.concrete):
             continue

@@ -14,7 +14,6 @@ from isummary.steiner import (
     read_instance,
     tree_cost,
     tree_weight,
-    write_instance,
 )
 
 
@@ -212,16 +211,6 @@ def test_normalization_aligns_argmax_and_argmin():
 
 
 # -- instance files ---------------------------------------------------------------
-
-def test_instance_file_round_trip(tmp_path):
-    inst = SteinerInstance(
-        WeightedGraph((0.25, 1.0, 0.5), ((0, 1), (1, 2))), frozenset({0, 2}), 3
-    )
-    path = tmp_path / "inst.txt"
-    write_instance(inst, path)
-    loaded = read_instance(path)
-    assert loaded == inst
-
 
 def test_instance_file_format(tmp_path):
     path = tmp_path / "inst.txt"

@@ -1,6 +1,9 @@
 import hashlib
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isummary.query_graph import FORWARD
 from isummary.summarizer import (
@@ -12,6 +15,7 @@ from isummary.summarizer import (
     InvalidRequest,
     NoRelevantQueries,
     SummaryRequest,
+    _slot_counts,
     link,
     resolve_variables,
     select_top_nodes,
@@ -20,7 +24,7 @@ from isummary.summarizer import (
     to_ntriples,
 )
 from isummary.synth import SyntheticSpec, generate_synthetic
-from isummary.terms import Term, TriplePattern, iri, literal
+from isummary.terms import RDF_TYPE, Term, TriplePattern, blank, iri, literal, variable
 from isummary.workload import load_workload
 
 from conftest import UNIVERSITY_QUERIES, store_from_texts
@@ -106,7 +110,77 @@ def test_link_precondition_checks(university_store):
         link(university_store, [0], PERSON, [PERSON])
 
 
-# -- resolve_variables ---------------------------------------------------------
+# -- slot counts -----------------------------------------------------------------
+
+def _position_counts(store, predicate, side):
+    """Oracle: distinct-query counts of concrete terms in (predicate, side) position."""
+    counts = Counter()
+    for qid in store.filter((predicate,)):
+        seen = set()
+        for pattern in store.query(qid).patterns:
+            if pattern.predicate != predicate:
+                continue
+            term = pattern.subject if side == "subject" else pattern.object
+            if term.concrete:
+                seen.add(term)
+        for term in seen:
+            counts[term] += 1
+    return counts
+
+
+def _predicate_counts(store, source, target):
+    """Oracle: distinct-query counts of concrete predicates seen next to either endpoint."""
+    counts = Counter()
+    for anchor, side in ((source, "subject"), (target, "object")):
+        if not anchor.concrete:
+            continue
+        for qid in store.filter((anchor,)):
+            seen = set()
+            for pattern in store.query(qid).patterns:
+                end = pattern.subject if side == "subject" else pattern.object
+                if end == anchor and pattern.predicate.concrete:
+                    seen.add(pattern.predicate)
+            for term in seen:
+                counts[term] += 1
+    return counts
+
+
+# "p" is a predicate that also appears as a subject and an object
+_SLOT_SUBJECTS = ["A", "B", "p", "?x", "_:b"]
+_SLOT_PREDICATES = ["p", "q", "a", "?x", "?v"]
+_SLOT_OBJECTS = ["A", "B", "p", "?x", '"l"', "7"]
+_SLOT_ENDS = [iri("A"), iri("B"), iri("p"), blank("b"), literal("l"), literal("7"), variable("x")]
+
+_slot_queries = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(_SLOT_SUBJECTS), st.sampled_from(_SLOT_PREDICATES),
+                  st.sampled_from(_SLOT_OBJECTS)),
+        min_size=1, max_size=5,
+    ).map(lambda ps: "SELECT * WHERE {" + " . ".join(" ".join(p) for p in ps) + "}"),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=_slot_queries)
+@example(texts=["SELECT * WHERE {A p B . A p B . p q A . ?x ?v p}",
+                'SELECT * WHERE {A p "l" . _:b p 7 . B p A}'])
+def test_slot_counts_match_position_and_predicate_oracles(texts):
+    store = store_from_texts(texts)
+    for predicate in (iri("p"), iri("q"), iri("A"), RDF_TYPE):
+        for side in ("subject", "object"):
+            assert _slot_counts(store, predicate, "predicate", side) == \
+                _position_counts(store, predicate, side)
+    for source in _SLOT_ENDS:
+        for target in _SLOT_ENDS:
+            summed = Counter()
+            for anchor, side in ((source, "subject"), (target, "object")):
+                if anchor.concrete:
+                    summed.update(_slot_counts(store, anchor, side, "predicate"))
+            assert summed == _predicate_counts(store, source, target)
+
+
+# -- resolve_variables ----------------------------------------------------------
 
 def test_resolve_no_waypoints(university_store):
     relevant = university_store.filter([PERSON])

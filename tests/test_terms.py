@@ -82,6 +82,16 @@ def test_pattern_membership():
     TriplePattern(blank("b"), variable("p"), literal("v"))
 
 
+def test_pattern_is_a_tuple_of_its_terms():
+    s, p, o = iri("x"), iri("p"), literal("v")
+    pattern = TriplePattern(s, p, o)
+    assert hash(pattern) == hash((s, p, o))
+    assert pattern == (s, p, o) and pattern.terms() == (s, p, o)
+    assert (pattern.subject, pattern.predicate, pattern.object) == (s, p, o)
+    with pytest.raises(AttributeError):
+        pattern.extra = 1
+
+
 def test_pattern_ntriples_line():
     pattern = TriplePattern(iri("Organization"), iri("affiliatedOf"), iri("Person"))
     assert pattern.to_ntriples() == "<Organization> <affiliatedOf> <Person> ."
