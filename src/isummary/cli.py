@@ -105,11 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_log_options(parser, args) -> None:
-    column = getattr(args, "tsv_column", None)
-    if hasattr(args, "log") and (column is None) == (args.format == workload.TSV):
-        parser.error("--tsv-column is required with --format tsv and rejected otherwise")
-    if column is not None and column < 0:
-        parser.error("--tsv-column is 0-based")
+    if hasattr(args, "log"):
+        try:
+            workload.check_format(args.format, args.tsv_column)
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def _load(args) -> workload.WorkloadStore:

@@ -2,9 +2,9 @@
 
 A query graph's edges are the triple patterns of the type-collapsed query:
 each edge runs from its subject to its object.  Only ``build_graph`` applies
-type collapse.  It relabels a variable only by the
-IRI object of one of its own ``?v rdf:type C`` patterns, which is a concrete
-node already, so ``concrete_node_terms`` reads the node set from the patterns.
+type collapse.  It relabels a variable only by the IRI object of one of its
+own ``?v rdf:type C`` patterns, which is a concrete node already, so
+``concrete_node_terms`` reads the node set from the patterns.
 """
 
 from __future__ import annotations

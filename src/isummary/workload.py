@@ -153,8 +153,17 @@ def _iter_records(path: Path, format: str, tsv_column: int | None) -> Iterator[t
                 yield index, rq_file.read_text(encoding="utf-8", errors="replace")
             except OSError as exc:
                 raise IoError(f"cannot read {rq_file}: {exc}") from exc
-    else:
+
+
+def check_format(format: str, tsv_column: int | None) -> None:
+    """Raise ValueError unless ``format`` is known and ``tsv_column`` is a
+    0-based column given exactly when the format is ``tsv``."""
+    if format not in FORMATS:
         raise ValueError(f"unknown workload format: {format!r}")
+    if (tsv_column is None) == (format == TSV):
+        raise ValueError("tsv_column is required for tsv input and invalid otherwise")
+    if tsv_column is not None and tsv_column < 0:
+        raise ValueError(f"tsv_column must be 0-based, got {tsv_column}")
 
 
 def load_workload(
@@ -171,12 +180,7 @@ def load_workload(
     input the first row is treated as a header and skipped silently if it
     fails to parse.
     """
-    if format not in FORMATS:
-        raise ValueError(f"unknown workload format: {format!r}")
-    if (tsv_column is None) == (format == TSV):
-        raise ValueError("tsv_column is required for tsv input and invalid otherwise")
-    if tsv_column is not None and tsv_column < 0:
-        raise ValueError(f"tsv_column must be 0-based, got {tsv_column}")
+    check_format(format, tsv_column)
     path = Path(path)
     if not path.exists():
         raise IoError(f"no such path: {path}")
