@@ -114,6 +114,29 @@ def test_tsv_with_failing_header(tmp_path):
     assert store.rejected_count == 1  # header skip is not a rejection
 
 
+def test_tsv_short_row_is_a_rejected_record(tmp_path, caplog):
+    path = tmp_path / "log.tsv"
+    path.write_text(
+        "1\tSELECT ?x WHERE {?x a Person}\n"
+        "2\n"
+        "\n"
+        "3\tSELECT ?y WHERE {?y a Robot}\n",
+        encoding="utf-8",
+    )
+    store = load_workload(path, format="tsv", tsv_column=1)
+    assert len(store) == 2
+    assert store.rejected_count == 1  # the blank line is still skipped
+    assert "line 2" in caplog.text and "no column 1" in caplog.text
+
+
+def test_tsv_short_first_row_is_a_header(tmp_path):
+    path = tmp_path / "log.tsv"
+    path.write_text("query\n1\tSELECT ?x WHERE {?x a Person}\n", encoding="utf-8")
+    store = load_workload(path, format="tsv", tsv_column=1)
+    assert len(store) == 1
+    assert store.rejected_count == 0
+
+
 def test_tsv_column_flag_validation(tmp_path, university_file):
     with pytest.raises(ValueError):
         load_workload(university_file, format="raw-lines", tsv_column=1)
