@@ -139,8 +139,11 @@ def _iter_records(path: Path, format: str, tsv_column: int | None) -> Iterator[t
     elif format == TSV:
         for line_no, line in _iter_lines(path):
             cells = line.split("\t")
-            text = cells[tsv_column] if tsv_column < len(cells) else ""
-            yield line_no, text
+            if tsv_column < len(cells):
+                yield line_no, cells[tsv_column]
+            else:
+                # None marks a non-blank row too short to hold the query column
+                yield line_no, None if line.strip() else ""
     elif format == RQ_DIRECTORY:
         if not path.is_dir():
             raise IoError(f"not a directory: {path}")
@@ -177,8 +180,9 @@ def load_workload(
     Unparsable records are counted and logged with their line numbers rather
     than aborting the load; past the first ``WARNED_REJECTIONS`` they are
     logged at DEBUG and one closing WARNING gives the total.  For ``tsv``
-    input the first row is treated as a header and skipped silently if it
-    fails to parse.
+    input a non-blank row with too few cells is a rejected record, and the
+    first row is treated as a header and skipped silently if it fails to
+    parse or is too short.
     """
     check_format(format, tsv_column)
     path = Path(path)
@@ -190,21 +194,25 @@ def load_workload(
     first_record = True
     terms: dict[tuple, Term] = {}
     for line_no, text in _iter_records(path, format, tsv_column):
-        if not text.strip():
-            first_record = False
-            continue
-        try:
-            queries.append(
-                parse_query(text, query_id=len(queries), source_line=line_no,
-                            base_prefix=base_prefix, intern=terms)
-            )
-        except ParseError as exc:
-            if format == TSV and first_record:
-                logger.debug("skipping header row of %s", path)
-            else:
-                rejected += 1
-                level = logging.WARNING if rejected <= WARNED_REJECTIONS else logging.DEBUG
-                logger.log(level, "rejected record at line %d of %s: %s", line_no, path, exc)
+        reason = None
+        if text is None:
+            reason = f"row has no column {tsv_column}"
+        elif text.strip():
+            try:
+                queries.append(
+                    parse_query(text, query_id=len(queries), source_line=line_no,
+                                base_prefix=base_prefix, intern=terms)
+                )
+            except ParseError as exc:
+                reason = exc
+        if reason is None:
+            pass
+        elif format == TSV and first_record:
+            logger.debug("skipping header row of %s", path)
+        else:
+            rejected += 1
+            level = logging.WARNING if rejected <= WARNED_REJECTIONS else logging.DEBUG
+            logger.log(level, "rejected record at line %d of %s: %s", line_no, path, reason)
         first_record = False
     if rejected > WARNED_REJECTIONS:
         logger.warning("rejected %d records of %s; those after the first %d logged at DEBUG",
