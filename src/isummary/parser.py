@@ -12,7 +12,7 @@ base prefix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import BLANK, IRI, LITERAL, RDF_TYPE, VARIABLE, Term, TriplePattern
 
@@ -57,8 +57,7 @@ class ParseError(Exception):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class ParsedQuery:
+class ParsedQuery(NamedTuple):
     """One workload query: its triple patterns plus source metadata."""
 
     id: int

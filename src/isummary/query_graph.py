@@ -10,7 +10,6 @@ own ``?v rdf:type C`` patterns, which is a concrete node already, so
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .parser import ParsedQuery
@@ -26,8 +25,7 @@ class Step(NamedTuple):
     waypoint: Term
 
 
-@dataclass(frozen=True)
-class PathSignature:
+class PathSignature(NamedTuple):
     """Canonical form of one query path.
 
     Endpoints are ordered by term sort key and variables are renamed

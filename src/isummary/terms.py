@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 IRI = "iri"
@@ -21,8 +20,13 @@ _WHITESPACE_RE = re.compile(r"\s")
 _LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
 
-@dataclass(frozen=True, eq=False)
-class Term:
+class _TermFields(NamedTuple):
+    kind: str
+    lexical: str
+    datatype_or_lang: str | None = None
+
+
+class Term(_TermFields):
     """A single RDF term or query variable.
 
     ``lexical`` holds the IRI without angle brackets, the literal's lexical
@@ -30,47 +34,29 @@ class Term:
     ``?``.  ``datatype_or_lang`` applies to literals only: a datatype IRI, or
     a language tag stored with its leading ``@``.
 
-    Equality is structural; the hash is precomputed because terms are used as
-    index and adjacency keys throughout.
+    A tuple of its three fields, so it hashes and compares as
+    ``(kind, lexical, datatype_or_lang)``; order terms by ``sort_key``.
     """
 
-    kind: str
-    lexical: str
-    datatype_or_lang: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown term kind: {self.kind!r}")
-        if self.kind == IRI:
-            if not self.lexical or _WHITESPACE_RE.search(self.lexical):
-                raise ValueError(f"malformed IRI: {self.lexical!r}")
-        elif self.kind == VARIABLE:
-            if not _VARNAME_RE.match(self.lexical):
-                raise ValueError(f"malformed variable name: {self.lexical!r}")
-        elif self.kind == BLANK:
-            if not _BLANK_RE.match(self.lexical):
-                raise ValueError(f"malformed blank node label: {self.lexical!r}")
-        if self.kind != LITERAL and self.datatype_or_lang is not None:
+    def __new__(cls, kind: str, lexical: str, datatype_or_lang: str | None = None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown term kind: {kind!r}")
+        if kind == IRI:
+            if not lexical or _WHITESPACE_RE.search(lexical):
+                raise ValueError(f"malformed IRI: {lexical!r}")
+        elif kind == VARIABLE:
+            if not _VARNAME_RE.match(lexical):
+                raise ValueError(f"malformed variable name: {lexical!r}")
+        elif kind == BLANK:
+            if not _BLANK_RE.match(lexical):
+                raise ValueError(f"malformed blank node label: {lexical!r}")
+        if kind != LITERAL and datatype_or_lang is not None:
             raise ValueError("datatype_or_lang is only valid for literals")
-        if self.datatype_or_lang == "":
+        if datatype_or_lang == "":
             raise ValueError("datatype_or_lang must be None or non-empty")
-        object.__setattr__(
-            self, "_hash", hash((self.kind, self.lexical, self.datatype_or_lang))
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return NotImplemented
-        return (
-            self.lexical == other.lexical
-            and self.kind == other.kind
-            and self.datatype_or_lang == other.datatype_or_lang
-        )
+        return tuple.__new__(cls, (kind, lexical, datatype_or_lang))
 
     @property
     def concrete(self) -> bool:

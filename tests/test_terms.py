@@ -1,5 +1,7 @@
 import pytest
 
+from isummary.parser import ParsedQuery
+from isummary.query_graph import FORWARD, PathSignature, Step
 from isummary.terms import (
     RDF_TYPE,
     Term,
@@ -90,6 +92,24 @@ def test_pattern_is_a_tuple_of_its_terms():
     assert (pattern.subject, pattern.predicate, pattern.object) == (s, p, o)
     with pytest.raises(AttributeError):
         pattern.extra = 1
+
+
+def test_terms_queries_and_signatures_are_tuples_of_their_fields():
+    term = literal("v", "@en")
+    query = ParsedQuery(3, (TriplePattern(iri("x"), iri("p"), term),), 4)
+    signature = PathSignature((Step(iri("p"), FORWARD, term),), (iri("x"), term))
+    for value, fields in (
+        (term, ("literal", "v", "@en")),
+        (query, (3, query.patterns, 4)),
+        (signature, (signature.steps, signature.endpoints)),
+    ):
+        assert value == fields and hash(value) == hash(fields)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        with pytest.raises(AttributeError):
+            value.__dict__
+    with pytest.raises(AttributeError):
+        term.lexical = "w"
 
 
 def test_pattern_ntriples_line():

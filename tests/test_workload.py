@@ -305,13 +305,13 @@ def test_load_builds_each_distinct_term_once(tmp_path, monkeypatch):
     path = tmp_path / "log.txt"
     path.write_text(_SPELLINGS_LOG, encoding="utf-8")
     built = []
-    post_init = Term.__post_init__
+    new = Term.__new__
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(cls, *args):
+        built.append(args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(Term, "__post_init__", counting)
+    monkeypatch.setattr(Term, "__new__", counting)
     store = load_workload(path, format="raw-lines", base_prefix="http://ex.org/")
     spelled = {t for q in store.queries for p in q.patterns for t in p.terms()}
     assert len(store) == 4
