@@ -16,39 +16,35 @@ import argparse
 import sys
 from collections import defaultdict
 
-from isummary.coverage import CoverageConfig, evaluate
-from isummary.workload import FORMATS, load_workload
+from isummary.cli import add_protocol_options, check_log_options, protocol_config
+from isummary.coverage import evaluate
+from isummary.workload import load_workload
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--log", required=True)
-    parser.add_argument("--format", default="raw-lines", choices=FORMATS)
-    parser.add_argument("--tsv-column", type=int, default=None)
-    parser.add_argument("--base-prefix", default=None)
-    parser.add_argument("--k", default="5,10,15")
-    parser.add_argument("--folds", type=int, default=10)
-    parser.add_argument("--split", type=float, default=0.8)
-    parser.add_argument("--sample-seeds", type=int, default=10)
-    parser.add_argument("--rng", type=int, default=42)
+    # the options and checks of `isummary evaluate`: a usage error exits 2 before the load
+    add_protocol_options(parser)
     parser.add_argument("--reference", type=float, default=0.4,
                         help="published coverage level to compare against")
     args = parser.parse_args(argv)
+    check_log_options(parser, args)
+    try:
+        config = protocol_config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     store = load_workload(args.log, format=args.format, tsv_column=args.tsv_column,
                           base_prefix=args.base_prefix)
     print(f"loaded {len(store)} queries ({store.rejected_count} rejected)")
 
-    config = CoverageConfig(split_ratio=args.split, folds=args.folds,
-                            sample_seeds=args.sample_seeds, rng_seed=args.rng)
-    k_values = [int(part) for part in args.k.split(",") if part]
-    result = evaluate(store, config, k_values, ["isummary"])
+    result = evaluate(store, config, args.k, ["isummary"])
 
     by_k = defaultdict(list)
     for row in result.rows:
         by_k[row.k].append(row.coverage)
     print(f"reference line: {args.reference:.3f}")
-    for k in k_values:
+    for k in args.k:
         values = by_k.get(k, [])
         mean = sum(values) / len(values) if values else 0.0
         delta = mean - args.reference

@@ -51,6 +51,28 @@ def _add_log_options(sub):
                      help="IRI prefix applied to bare names in queries and seeds")
 
 
+def add_protocol_options(sub):
+    """The log and fold-protocol options of ``evaluate``; check them with
+    ``check_log_options`` and ``protocol_config`` before the load."""
+    _add_log_options(sub)
+    sub.add_argument("--k", type=_int_list, default=[5, 10, 15],
+                     help="comma-separated budgets (default: 5,10,15)")
+    sub.add_argument("--folds", type=_positive_int, default=10)
+    sub.add_argument("--split", type=float, default=0.8, help="train fraction")
+    sub.add_argument("--sample-seeds", type=_positive_int, default=10)
+    sub.add_argument("--rng", type=int, default=42)
+    sub.add_argument("--w-node", type=float, default=0.5)
+    sub.add_argument("--w-edge", type=float, default=0.5)
+
+
+def protocol_config(args) -> CoverageConfig:
+    """The fold-protocol options as a config; raises ValueError for a bad one."""
+    return CoverageConfig(
+        w_node=args.w_node, w_edge=args.w_edge, split_ratio=args.split,
+        folds=args.folds, sample_seeds=args.sample_seeds, rng_seed=args.rng,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isummary",
@@ -71,17 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--report", default=None, help="JSON report path")
 
     cmd = commands.add_parser("evaluate", help="run the fold-based coverage protocol")
-    _add_log_options(cmd)
-    cmd.add_argument("--k", type=_int_list, default=[5, 10, 15],
-                     help="comma-separated budgets (default: 5,10,15)")
-    cmd.add_argument("--folds", type=_positive_int, default=10)
-    cmd.add_argument("--split", type=float, default=0.8, help="train fraction")
-    cmd.add_argument("--sample-seeds", type=_positive_int, default=10)
-    cmd.add_argument("--rng", type=int, default=42)
+    add_protocol_options(cmd)
     cmd.add_argument("--strategies", default="isummary,random",
                      help="comma-separated strategy list")
-    cmd.add_argument("--w-node", type=float, default=0.5)
-    cmd.add_argument("--w-edge", type=float, default=0.5)
     cmd.add_argument("--out", default=None, help="CSV output path (default: stdout)")
 
     cmd = commands.add_parser("oracle", help="exact-vs-approximation quality check")
@@ -104,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_log_options(parser, args) -> None:
+def check_log_options(parser, args) -> None:
     if hasattr(args, "log"):
         try:
             workload.check_format(args.format, args.tsv_column)
@@ -151,10 +165,7 @@ def _cmd_evaluate(args) -> int:
             print(f"InvalidRequest: unknown strategy {strategy!r}", file=sys.stderr)
             return 2
     try:
-        config = CoverageConfig(
-            w_node=args.w_node, w_edge=args.w_edge, split_ratio=args.split,
-            folds=args.folds, sample_seeds=args.sample_seeds, rng_seed=args.rng,
-        )
+        config = protocol_config(args)
     except ValueError as exc:
         print(f"InvalidRequest: {exc}", file=sys.stderr)
         return 2
@@ -257,7 +268,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_log_options(parser, args)
+        check_log_options(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

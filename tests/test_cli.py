@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +164,25 @@ def test_evaluate_bad_budget_list_exits_two_before_load(budgets, tmp_path, capsy
     code = main(["evaluate", "--log", str(tmp_path / "absent.txt"), "--k", budgets])
     assert code == 2
     assert "IoError" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [
+    ["--k", "0"],
+    ["--k", ","],
+    ["--folds", "0"],
+    ["--split", "1.5"],
+    ["--sample-seeds", "0"],
+    ["--format", "tsv"],
+])
+def test_reference_protocol_usage_errors_exit_two_before_load(options, tmp_path):
+    # the log does not exist, so exit 2 without a traceback shows the check ran first
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reference_protocol.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--log", str(tmp_path / "absent.txt"), *options],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "error:" in proc.stderr
 
 
 def test_summarize_request_checked_before_load(tmp_path, capsys):
