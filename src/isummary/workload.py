@@ -205,14 +205,13 @@ def load_workload(
                 )
             except ParseError as exc:
                 reason = exc
-        if reason is None:
-            pass
-        elif format == TSV and first_record:
-            logger.debug("skipping header row of %s", path)
-        else:
-            rejected += 1
-            level = logging.WARNING if rejected <= WARNED_REJECTIONS else logging.DEBUG
-            logger.log(level, "rejected record at line %d of %s: %s", line_no, path, reason)
+        if reason is not None:
+            if format == TSV and first_record:
+                logger.debug("skipping header row of %s", path)
+            else:
+                rejected += 1
+                level = logging.WARNING if rejected <= WARNED_REJECTIONS else logging.DEBUG
+                logger.log(level, "rejected record at line %d of %s: %s", line_no, path, reason)
         first_record = False
     if rejected > WARNED_REJECTIONS:
         logger.warning("rejected %d records of %s; those after the first %d logged at DEBUG",
