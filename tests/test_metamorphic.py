@@ -160,8 +160,8 @@ def test_variable_renaming_on_university_log():
 def _check_pattern_order(log, orders, seeds, k, random_seed):
     reordered = [[q[i] for i in order] for q, order in zip(log, orders)]
     for strategy in ("isummary", "random"):
-        assert (_summary(reordered, seeds, k, strategy, random_seed)
-                == _summary(log, seeds, k, strategy, random_seed))
+        assert (_summary(reordered, seeds, k, strategy, random_seed, render=to_json)
+                == _summary(log, seeds, k, strategy, random_seed, render=to_json))
     assert _evaluate(reordered, random_seed) == _evaluate(log, random_seed)
 
 
