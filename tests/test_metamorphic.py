@@ -50,22 +50,20 @@ def _texts(log):
     return ["SELECT * WHERE { " + " . ".join(" ".join(p) for p in q) + " }" for q in log]
 
 
-def _summary(log, seeds, k, strategy, random_seed=0, render=None):
-    """One summary's triples, ledger and warning kinds and terms (or ``render``
-    of the summary), or the name of the error it raised.
-
-    Warning messages quote the query's own variable names, so only the
-    relations that keep every name compare whole reports.
-    """
+def _summary(log, seeds, k, strategy, random_seed=0, render=to_json):
+    """``render`` of one summary, or the name of the error it raised."""
     try:
         summary = summarize(store_from_texts(_texts(log)),
                             SummaryRequest(tuple(seeds), k, strategy, random_seed=random_seed))
     except NoRelevantQueries:
         return "NoRelevantQueries"
-    if render is not None:
-        return render(summary)
-    return (to_ntriples(summary), summary.nodes,
-            [(w.kind, w.term) for w in summary.warnings])
+    return render(summary)
+
+
+def _without_messages(summary):
+    """Triples, ledger and warning kinds and terms: warning messages quote the
+    query's own variable names, which a renaming changes."""
+    return to_ntriples(summary), summary.nodes, [(w.kind, w.term) for w in summary.warnings]
 
 
 def _evaluate(log, rng_seed, strategies=("isummary", "random")):
@@ -96,8 +94,7 @@ _renamings = st.lists(
 
 def _check_record_order(log, order, seeds, k):
     permuted = [log[i] for i in order]
-    assert (_summary(permuted, seeds, k, "isummary", render=to_json)
-            == _summary(log, seeds, k, "isummary", render=to_json))
+    assert _summary(permuted, seeds, k, "isummary") == _summary(log, seeds, k, "isummary")
 
 
 @settings(max_examples=150, deadline=None)
@@ -119,8 +116,8 @@ def test_record_order_on_university_log():
 
 def _check_renaming(log, renamings, seeds, k, random_seed, strategy):
     renamed = _renamed(log, renamings)
-    assert (_summary(renamed, seeds, k, strategy, random_seed)
-            == _summary(log, seeds, k, strategy, random_seed))
+    assert (_summary(renamed, seeds, k, strategy, random_seed, render=_without_messages)
+            == _summary(log, seeds, k, strategy, random_seed, render=_without_messages))
     strategies = ("isummary", "random") if strategy == "random" else (strategy,)
     assert _evaluate(renamed, random_seed, strategies) == _evaluate(log, random_seed, strategies)
 
@@ -160,8 +157,8 @@ def test_variable_renaming_on_university_log():
 def _check_pattern_order(log, orders, seeds, k, random_seed):
     reordered = [[q[i] for i in order] for q, order in zip(log, orders)]
     for strategy in ("isummary", "random"):
-        assert (_summary(reordered, seeds, k, strategy, random_seed, render=to_json)
-                == _summary(log, seeds, k, strategy, random_seed, render=to_json))
+        assert (_summary(reordered, seeds, k, strategy, random_seed)
+                == _summary(log, seeds, k, strategy, random_seed))
     assert _evaluate(reordered, random_seed) == _evaluate(log, random_seed)
 
 
