@@ -16,7 +16,7 @@ import argparse
 import sys
 from collections import defaultdict
 
-from isummary.cli import add_protocol_options, check_log_options, protocol_config
+from isummary.cli import add_protocol_options, check_log_options, check_protocol_options
 from isummary.coverage import evaluate
 from isummary.workload import load_workload
 
@@ -29,10 +29,7 @@ def main(argv=None) -> int:
                         help="published coverage level to compare against")
     args = parser.parse_args(argv)
     check_log_options(parser, args)
-    try:
-        config = protocol_config(args)
-    except ValueError as exc:
-        parser.error(str(exc))
+    config = check_protocol_options(parser, args)
 
     store = load_workload(args.log, format=args.format, tsv_column=args.tsv_column,
                           base_prefix=args.base_prefix)

@@ -53,7 +53,7 @@ def _add_log_options(sub):
 
 def add_protocol_options(sub):
     """The log and fold-protocol options of ``evaluate``; check them with
-    ``check_log_options`` and ``protocol_config`` before the load."""
+    ``check_log_options`` and ``check_protocol_options`` before the load."""
     _add_log_options(sub)
     sub.add_argument("--k", type=_int_list, default=[5, 10, 15],
                      help="comma-separated budgets (default: 5,10,15)")
@@ -61,16 +61,6 @@ def add_protocol_options(sub):
     sub.add_argument("--split", type=float, default=0.8, help="train fraction")
     sub.add_argument("--sample-seeds", type=_positive_int, default=10)
     sub.add_argument("--rng", type=int, default=42)
-    sub.add_argument("--w-node", type=float, default=0.5)
-    sub.add_argument("--w-edge", type=float, default=0.5)
-
-
-def protocol_config(args) -> CoverageConfig:
-    """The fold-protocol options as a config; raises ValueError for a bad one."""
-    return CoverageConfig(
-        w_node=args.w_node, w_edge=args.w_edge, split_ratio=args.split,
-        folds=args.folds, sample_seeds=args.sample_seeds, rng_seed=args.rng,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,6 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = commands.add_parser("evaluate", help="run the fold-based coverage protocol")
     add_protocol_options(cmd)
+    cmd.add_argument("--w-node", type=float, default=0.5)
+    cmd.add_argument("--w-edge", type=float, default=0.5)
     cmd.add_argument("--strategies", default="isummary,random",
                      help="comma-separated strategy list")
     cmd.add_argument("--out", default=None, help="CSV output path (default: stdout)")
@@ -124,6 +116,16 @@ def check_log_options(parser, args) -> None:
             workload.check_format(args.format, args.tsv_column)
         except ValueError as exc:
             parser.error(str(exc))
+
+
+def check_protocol_options(parser, args, **weights) -> CoverageConfig:
+    """The fold-protocol options as a config, or a usage error (exit 2) for a
+    bad one; ``weights`` (``w_node``, ``w_edge``) default as in CoverageConfig."""
+    try:
+        return CoverageConfig(split_ratio=args.split, folds=args.folds,
+                              sample_seeds=args.sample_seeds, rng_seed=args.rng, **weights)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _load(args) -> workload.WorkloadStore:
@@ -164,13 +166,8 @@ def _cmd_evaluate(args) -> int:
         if strategy not in summarizer.STRATEGIES:
             print(f"InvalidRequest: unknown strategy {strategy!r}", file=sys.stderr)
             return 2
-    try:
-        config = protocol_config(args)
-    except ValueError as exc:
-        print(f"InvalidRequest: {exc}", file=sys.stderr)
-        return 2
     store = _load(args)
-    result = evaluate(store, config, args.k, strategies)
+    result = evaluate(store, args.config, args.k, strategies)
     for warning in result.warnings:
         print(warning, file=sys.stderr)
     if args.out:
@@ -269,6 +266,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         check_log_options(parser, args)
+        if args.command == "evaluate":
+            args.config = check_protocol_options(parser, args,
+                                                 w_node=args.w_node, w_edge=args.w_edge)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

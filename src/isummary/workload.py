@@ -130,7 +130,7 @@ def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def _iter_records(path: Path, format: str, tsv_column: int | None) -> Iterator[tuple[int, str]]:
+def _iter_records(path: Path, format: str, tsv_column: int | None) -> Iterator[tuple[int, str | None]]:
     if format == RAW_LINES:
         yield from _iter_lines(path)
     elif format == URLENCODED_LINES:
@@ -139,10 +139,10 @@ def _iter_records(path: Path, format: str, tsv_column: int | None) -> Iterator[t
     elif format == TSV:
         for line_no, line in _iter_lines(path):
             cells = line.split("\t")
-            if tsv_column < len(cells):
+            if tsv_column < len(cells) and cells[tsv_column].strip():
                 yield line_no, cells[tsv_column]
             else:
-                # None marks a non-blank row too short to hold the query column
+                # None marks a non-blank row with no query in the query column
                 yield line_no, None if line.strip() else ""
     elif format == RQ_DIRECTORY:
         if not path.is_dir():
@@ -180,9 +180,9 @@ def load_workload(
     Unparsable records are counted and logged with their line numbers rather
     than aborting the load; past the first ``WARNED_REJECTIONS`` they are
     logged at DEBUG and one closing WARNING gives the total.  For ``tsv``
-    input a non-blank row with too few cells is a rejected record, and the
-    first row is treated as a header and skipped silently if it fails to
-    parse or is too short.
+    input a non-blank row with no query in its query column is a rejected
+    record, and the first row is treated as a header and skipped silently if
+    it fails to parse or has no query.
     """
     check_format(format, tsv_column)
     path = Path(path)
@@ -196,7 +196,7 @@ def load_workload(
     for line_no, text in _iter_records(path, format, tsv_column):
         reason = None
         if text is None:
-            reason = f"row has no column {tsv_column}"
+            reason = f"row has no query in column {tsv_column}"
         elif text.strip():
             try:
                 queries.append(

@@ -167,12 +167,25 @@ def test_evaluate_bad_budget_list_exits_two_before_load(budgets, tmp_path, capsy
 
 
 @pytest.mark.parametrize("options", [
+    ["--split", "1.5"],
+    ["--folds", "0"],
+    ["--w-node", "0.7"],
+])
+def test_evaluate_bad_protocol_option_exits_two_before_load(options, tmp_path, capsys):
+    code = main(["evaluate", "--log", str(tmp_path / "absent.txt"), *options])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "IoError" not in err
+
+
+@pytest.mark.parametrize("options", [
     ["--k", "0"],
     ["--k", ","],
     ["--folds", "0"],
     ["--split", "1.5"],
     ["--sample-seeds", "0"],
     ["--format", "tsv"],
+    ["--w-node", "0.5"],  # the weights are evaluate's alone
 ])
 def test_reference_protocol_usage_errors_exit_two_before_load(options, tmp_path):
     # the log does not exist, so exit 2 without a traceback shows the check ran first

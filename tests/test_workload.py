@@ -120,13 +120,15 @@ def test_tsv_short_row_is_a_rejected_record(tmp_path, caplog):
         "1\tSELECT ?x WHERE {?x a Person}\n"
         "2\n"
         "\n"
-        "3\tSELECT ?y WHERE {?y a Robot}\n",
+        "3\tSELECT ?y WHERE {?y a Robot}\n"
+        "4\t \n",
         encoding="utf-8",
     )
     store = load_workload(path, format="tsv", tsv_column=1)
     assert len(store) == 2
-    assert store.rejected_count == 1  # the blank line is still skipped
-    assert "line 2" in caplog.text and "no column 1" in caplog.text
+    assert store.rejected_count == 2  # the blank line is still skipped
+    assert "line 2" in caplog.text and "line 5" in caplog.text
+    assert "no query in column 1" in caplog.text
 
 
 def test_tsv_short_first_row_is_a_header(tmp_path):
