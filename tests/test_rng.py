@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 from isummary.rng import XorShift64Star, splitmix64
@@ -25,7 +26,37 @@ def test_stream_is_reproducible_and_pinned():
     assert first == [b.next_u64() for _ in range(5)]
     # frozen regression pin: the documented algorithm must never drift
     assert first[0] == XorShift64Star(42).next_u64()
+    assert first == [3580622183945639842, 10378725325292465923, 8967075514996744559,
+                     5001014893397904463, 14825054885549601002]
     assert XorShift64Star(0).next_u64() != XorShift64Star(1).next_u64()
+
+
+# Literal outputs of the documented algorithm.  Each pin also checks the draw
+# after the call, so the generator's state must be left where the per-draw
+# method calls would leave it.
+def test_shuffle_is_pinned():
+    rng = XorShift64Star(11)
+    xs = list(range(30))
+    rng.shuffle(xs)
+    assert xs == [14, 0, 2, 28, 4, 10, 24, 21, 19, 25, 29, 5, 23, 27, 20,
+                  9, 18, 26, 16, 11, 3, 15, 8, 6, 12, 1, 13, 22, 17, 7]
+    assert rng.next_u64() == 7639912611038368449
+
+
+def test_sample_is_pinned():
+    rng = XorShift64Star(13)
+    assert rng.sample(range(20), 8) == [18, 11, 7, 5, 8, 12, 1, 0]
+    assert rng.next_u64() == 5087454633537088705
+
+
+def test_large_shuffle_is_pinned():
+    # the size of the benchmark's evaluate fold shuffle
+    rng = XorShift64Star(42)
+    xs = list(range(50_000))
+    rng.shuffle(xs)
+    digest = hashlib.sha256(",".join(map(str, xs)).encode("ascii")).hexdigest()
+    assert digest == "4a290871343179bff51025c59c691a103c5c1469eeafb2cf2798f500e2c2eba0"
+    assert rng.next_u64() == 8051111360604353642
 
 
 def test_random_unit_interval():
