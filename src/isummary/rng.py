@@ -50,16 +50,30 @@ class XorShift64Star:
             raise ValueError("randrange bound must be positive")
         return self.next_u64() % n
 
+    # shuffle and sample inline the next_u64 step: a method call per draw
+    # costs more than the step itself, and a fold shuffles every query id
+
     def shuffle(self, xs) -> None:
+        x = self._state
         for i in range(len(xs) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & _MASK64
+            x ^= x >> 27
+            j = ((x * 0x2545F4914F6CDD1D) & _MASK64) % (i + 1)
             xs[i], xs[j] = xs[j], xs[i]
+        self._state = x
 
     def sample(self, xs, k: int) -> list:
         if k < 0 or k > len(xs):
             raise ValueError("sample size out of range")
         pool = list(xs)
+        n = len(pool)
+        x = self._state
         for i in range(k):
-            j = i + self.randrange(len(pool) - i)
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & _MASK64
+            x ^= x >> 27
+            j = i + ((x * 0x2545F4914F6CDD1D) & _MASK64) % (n - i)
             pool[i], pool[j] = pool[j], pool[i]
+        self._state = x
         return pool[:k]

@@ -93,12 +93,9 @@ def node_frequencies(
     store: WorkloadStore, relevant_ids: Iterable[int], exclude: Iterable[Term] = ()
 ) -> Counter:
     """Distinct-query counts of every concrete node in the given queries' graphs."""
-    excluded = set(exclude)
-    freq: Counter = Counter()
-    for qid in relevant_ids:
-        for term in store.node_terms(qid):
-            if term not in excluded:
-                freq[term] += 1
+    freq = Counter(itertools.chain.from_iterable(map(store.node_terms, relevant_ids)))
+    for term in exclude:
+        freq.pop(term, None)
     return freq
 
 
@@ -146,18 +143,6 @@ def link(
     return min(tally, key=lambda s: (-tally[s], len(s.steps), s.sort_key()))
 
 
-def _slot_counts(store: WorkloadStore, anchor: Term, anchor_slot: str, slot: str) -> Counter:
-    """Distinct-query counts of the concrete terms in ``slot`` of patterns
-    that hold ``anchor`` in ``anchor_slot`` (slots are TriplePattern fields)."""
-    at, of = TriplePattern._fields.index(anchor_slot), TriplePattern._fields.index(slot)
-    counts: Counter = Counter()
-    for qid in store.filter((anchor,)):
-        counts.update({
-            p[of] for p in store.query(qid).patterns if p[at] == anchor and p[of].concrete
-        })
-    return counts
-
-
 def _most_frequent(counts: Counter) -> Term | None:
     if not counts:
         return None
@@ -191,13 +176,13 @@ def resolve_variables(
         counts: Counter = Counter()
         incoming_side = "object" if step.direction == FORWARD else "subject"
         if step.predicate.concrete:
-            counts.update(_slot_counts(store, step.predicate, "predicate", incoming_side))
+            counts.update(store.slot_counts(step.predicate, "predicate", incoming_side))
         outgoing_side = None
         if index + 1 < len(path.steps):
             nxt = path.steps[index + 1]
             outgoing_side = "subject" if nxt.direction == FORWARD else "object"
             if nxt.predicate.concrete:
-                counts.update(_slot_counts(store, nxt.predicate, "predicate", outgoing_side))
+                counts.update(store.slot_counts(nxt.predicate, "predicate", outgoing_side))
         if "subject" in (incoming_side, outgoing_side):
             # the substitution will be written as a subject somewhere
             counts = Counter({t: c for t, c in counts.items() if t.kind != LITERAL})
@@ -226,7 +211,7 @@ def resolve_variables(
             counts = Counter()
             for anchor, side in ((source, "subject"), (target, "object")):
                 if anchor.concrete:
-                    counts.update(_slot_counts(store, anchor, side, "predicate"))
+                    counts.update(store.slot_counts(anchor, side, "predicate"))
             mined = _most_frequent(counts)
             if mined is None:
                 warnings.append(SummaryWarning(

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import copy
 import logging
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import unquote_plus
 
 from .parser import ParsedQuery, ParseError, parse_query
 from .query_graph import QueryGraph, build_graph, concrete_node_terms
-from .terms import Term
+from .terms import Term, TriplePattern
 
 logger = logging.getLogger(__name__)
 
@@ -41,12 +42,14 @@ class WorkloadStore:
     shares all three with the root by reference and holds only its member
     queries.  The shared index may name ids outside a view, so ``filter``,
     ``ids`` and ``query`` answer for members only.  Query ids are never
-    renumbered, so memoized graphs stay valid in every view.  Treated as
-    immutable after construction.
+    renumbered, so memoized graphs stay valid in every view.  Slot counts
+    depend on the members, so each store and view has its own memo of them.
+    Treated as immutable after construction.
     """
 
     __slots__ = (
         "queries", "rejected_count", "term_index", "_by_id", "_graphs", "_node_terms",
+        "_slot_counts",
     )
 
     def __init__(self, queries: Iterable[ParsedQuery], rejected_count: int = 0):
@@ -64,6 +67,7 @@ class WorkloadStore:
                         self.term_index.setdefault(term, set()).add(q.id)
         self._graphs: dict[int, QueryGraph] = {}
         self._node_terms: dict[int, frozenset[Term]] = {}
+        self._slot_counts: dict[tuple[Term, str, str], Counter] = {}
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -111,12 +115,30 @@ class WorkloadStore:
         # members last: the term sets are intersected first, as they shrink fastest
         return sorted(self._by_id.keys() & result)
 
+    def slot_counts(self, anchor: Term, anchor_slot: str, slot: str) -> Counter:
+        """Distinct-query counts of the concrete terms in ``slot`` of member
+        patterns that hold ``anchor`` in ``anchor_slot`` (slots are
+        TriplePattern fields).  Memoized per store: callers must not mutate
+        the returned Counter."""
+        key = (anchor, anchor_slot, slot)
+        counts = self._slot_counts.get(key)
+        if counts is None:
+            at, of = TriplePattern._fields.index(anchor_slot), TriplePattern._fields.index(slot)
+            counts = Counter()
+            for qid in self.filter((anchor,)):
+                counts.update({
+                    p[of] for p in self._by_id[qid].patterns if p[at] == anchor and p[of].concrete
+                })
+            self._slot_counts[key] = counts
+        return counts
+
     def subset(self, ids: Iterable[int]) -> "WorkloadStore":
         """A view over the member queries with the given ids, in this store's order."""
         wanted = set(ids)
         view = copy.copy(self)
         view.queries = [q for q in self.queries if q.id in wanted]
         view._by_id = {q.id: q for q in view.queries}
+        view._slot_counts = {}
         view.rejected_count = 0
         return view
 

@@ -15,8 +15,8 @@ from isummary.summarizer import (
     InvalidRequest,
     NoRelevantQueries,
     SummaryRequest,
-    _slot_counts,
     link,
+    node_frequencies,
     resolve_variables,
     select_top_nodes,
     summarize,
@@ -169,15 +169,77 @@ def test_slot_counts_match_position_and_predicate_oracles(texts):
     store = store_from_texts(texts)
     for predicate in (iri("p"), iri("q"), iri("A"), RDF_TYPE):
         for side in ("subject", "object"):
-            assert _slot_counts(store, predicate, "predicate", side) == \
+            assert store.slot_counts(predicate, "predicate", side) == \
                 _position_counts(store, predicate, side)
     for source in _SLOT_ENDS:
         for target in _SLOT_ENDS:
             summed = Counter()
             for anchor, side in ((source, "subject"), (target, "object")):
                 if anchor.concrete:
-                    summed.update(_slot_counts(store, anchor, side, "predicate"))
+                    summed.update(store.slot_counts(anchor, side, "predicate"))
             assert summed == _predicate_counts(store, source, target)
+
+
+_SLOT_KEYS = [
+    (predicate, "predicate", side)
+    for predicate in (iri("p"), iri("q"), iri("A"), RDF_TYPE) for side in ("subject", "object")
+] + [(anchor, side, "predicate") for anchor in _SLOT_ENDS if anchor.concrete
+     for side in ("subject", "object")]
+
+
+def _check_slot_counts(store):
+    """Every memoized slot count of ``store`` equals the scan of its own members."""
+    unbound = variable("x")
+    for anchor, anchor_slot, slot in _SLOT_KEYS:
+        if anchor_slot == "predicate":
+            expected = _position_counts(store, anchor, slot)
+        elif anchor_slot == "subject":
+            expected = _predicate_counts(store, anchor, unbound)
+        else:
+            expected = _predicate_counts(store, unbound, anchor)
+        assert store.slot_counts(anchor, anchor_slot, slot) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), texts=_slot_queries, root_first=st.booleans())
+def test_slot_counts_memo_is_per_view(data, texts, root_first):
+    root = store_from_texts(texts)
+    member_ids = st.lists(st.sampled_from(root.ids()), unique=True)
+    early = root.subset(data.draw(member_ids))
+    for store in ((root, early) if root_first else (early, root)):
+        _check_slot_counts(store)
+    # views made after their parent's memo is filled start with their own
+    late = root.subset(data.draw(member_ids))
+    _check_slot_counts(late)
+    inner = late.subset(data.draw(st.lists(st.sampled_from(root.ids()), unique=True)))
+    _check_slot_counts(inner)
+    for store in (root, early, late, inner):
+        _check_slot_counts(store)
+
+
+# -- node frequencies -------------------------------------------------------------
+
+def _node_frequencies_loop(store, relevant_ids, exclude=()):
+    """Oracle: count the node terms one at a time, skipping the excluded ones."""
+    excluded = set(exclude)
+    freq = Counter()
+    for qid in relevant_ids:
+        for term in store.node_terms(qid):
+            if term not in excluded:
+                freq[term] += 1
+    return freq
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), texts=_slot_queries)
+def test_node_frequencies_match_counting_loop(data, texts):
+    store = store_from_texts(texts)
+    ids = data.draw(st.lists(st.sampled_from(store.ids()), unique=True))
+    present = sorted(set().union(*map(store.node_terms, store.ids())), key=Term.sort_key)
+    # excluded terms drawn from the store's own nodes and from terms it may lack
+    exclude = data.draw(st.lists(st.sampled_from(present + _SLOT_ENDS), unique=True))
+    assert node_frequencies(store, ids, exclude) == _node_frequencies_loop(store, ids, exclude)
+    assert node_frequencies(store, ids) == _node_frequencies_loop(store, ids)
 
 
 # -- resolve_variables ----------------------------------------------------------
