@@ -300,6 +300,15 @@ def _greedy_summary(store, request, relevant, warnings):
     return triples, nodes
 
 
+def _name_blind_key(edge: TriplePattern) -> tuple:
+    """``edge.sort_key()`` with each variable numbered by its first occurrence."""
+    names: dict[Term, int] = {}
+    return tuple([
+        (VARIABLE, names.setdefault(t, len(names)), "") if t.kind == VARIABLE else t.sort_key()
+        for t in edge
+    ])
+
+
 def _random_summary(store, request, relevant, warnings):
     rng = XorShift64Star(request.random_seed)
     freq = node_frequencies(store, relevant, exclude=request.seeds)
@@ -330,15 +339,18 @@ def _random_summary(store, request, relevant, warnings):
     seen: set[TriplePattern] = set()
     blanks = itertools.count()
     for term, _ in selected:
-        edges = sorted(incident[term], key=TriplePattern.sort_key)
-        if not edges:
+        # edges equal up to variable renaming are one candidate, ordered by a
+        # key blind to variable names, so names cannot sway the draw
+        candidates = {_name_blind_key(e): e for e in incident[term]}
+        if not candidates:
             warnings.append(SummaryWarning(
                 ISOLATED_NODE,
                 f"{term.to_sparql()} has no incident edge in the relevant queries",
                 term,
             ))
             continue
-        edge = edges[rng.randrange(len(edges))]
+        keys = sorted(candidates)
+        edge = candidates[keys[rng.randrange(len(keys))]]
         if not edge.predicate.concrete:
             warnings.append(SummaryWarning(
                 UNRESOLVED_VARIABLE,
@@ -347,19 +359,21 @@ def _random_summary(store, request, relevant, warnings):
             continue
         substitutions: dict[Term, Term] = {}
 
-        def ground(t):
+        # the edge stands for all its renamings, so messages name no variable
+        def ground(t, side):
             if t.kind != VARIABLE:
                 return t
             if t not in substitutions:
                 substitutions[t] = Term(BLANK, f"u{next(blanks)}")
                 warnings.append(SummaryWarning(
                     UNRESOLVED_VARIABLE,
-                    f"sampled edge endpoint ?{t.lexical} replaced by blank node",
+                    f"variable {side} of the sampled edge replaced by blank node",
                     substitutions[t],
                 ))
             return substitutions[t]
 
-        _append_unique(triples, seen, [TriplePattern(ground(edge.subject), edge.predicate, ground(edge.object))])
+        _append_unique(triples, seen, [TriplePattern(
+            ground(edge.subject, "subject"), edge.predicate, ground(edge.object, "object"))])
     return triples, nodes
 
 

@@ -7,7 +7,6 @@ literals, ``_:b`` labels, variable predicates and variables with several types.
 
 import io
 
-import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
@@ -129,13 +128,8 @@ def test_variable_renaming_leaves_greedy_outputs_unchanged(log, renamings, reque
     _check_renaming(log, renamings, seeds, k, random_seed, "isummary")
 
 
-# The random baseline draws one edge from the incident edges sorted by
-# ``TriplePattern.sort_key``, which reads variable names, and it counts edges
-# that differ only in a variable name as distinct; renaming ``?z`` to ``?v``
-# below moves ``?z q B`` ahead of ``?x p B`` and the draw picks the other edge.
-# A fix changes the random baseline's output on logs with variables, so it
-# waits for a change that may re-pin the golden hashes.
-@pytest.mark.xfail(strict=True, reason="random baseline's edge draw depends on variable names")
+# Renaming ``?z`` to ``?v`` below once moved ``?z q B`` ahead of ``?x p B`` in
+# the random baseline's sorted incident edges, and the draw picked the other edge.
 @settings(max_examples=150, deadline=None, phases=[Phase.explicit, Phase.generate])
 @given(log=_logs, renamings=_renamings, request=_requests)
 @example(log=[[("A", "p", "A"), ("?x", "p", "B"), ("?z", "q", "B")]],

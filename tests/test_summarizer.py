@@ -511,7 +511,7 @@ GOLDEN_REQUESTS = (
     ("Entity0", 5, "random"), ("Entity0", 10, "isummary"), ("Entity0", 15, "random"),
 )
 GOLDEN_SYNTH_NTRIPLES_SHA256 = "e522a5a1d7b72f652207879af5fa473300b2e6d450af8cb654971e9db74f1460"
-GOLDEN_SYNTH_JSON_SHA256 = "c4a1ecd92ad55db4bced4cfa97d30343dccb0898758e002d0510d754e7a4baca"
+GOLDEN_SYNTH_JSON_SHA256 = "6d83657ccd7f0cce4c367a00254ed0ee8a0ee4ff17517cee93457150f54a126f"
 
 
 def test_summarize_golden_hashes_on_synthetic_log(tmp_path):
