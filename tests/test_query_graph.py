@@ -1,18 +1,23 @@
 import itertools
+from collections import deque
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isummary.parser import parse_query
 from isummary.query_graph import (
     BACKWARD,
     FORWARD,
+    PathSignature,
+    Step,
     build_graph,
     concrete_edges,
     shortest_path,
 )
 from isummary.rng import XorShift64Star
-from isummary.terms import RDF_TYPE, Term, TriplePattern, iri, literal, variable
+from isummary.terms import RDF_TYPE, VARIABLE, Term, TriplePattern, iri, literal, variable
 
 
 def graph_of(text):
@@ -227,3 +232,91 @@ def test_shortest_path_length_matches_networkx_oracle():
         assert sig is not None and len(sig.steps) == expected
         checked += 1
     assert checked > 100
+
+
+# -- oracle equivalence: the all-paths enumerator -----------------------------
+
+def _oracle_signature(start, hops):
+    """Orient a walk of ``(predicate, direction, node)`` hops from ``start`` so
+    that the lesser end comes first, then rename its variables positionally."""
+    nodes = [start] + [node for _, _, node in hops]
+    predicates = [predicate for predicate, _, _ in hops]
+    directions = [direction for _, direction, _ in hops]
+    if nodes[0].sort_key() > nodes[-1].sort_key():
+        nodes.reverse()
+        predicates.reverse()
+        directions = [BACKWARD if d == FORWARD else FORWARD for d in reversed(directions)]
+    renames = {}
+
+    def canon(term):
+        if term.kind != VARIABLE:
+            return term
+        return Term(VARIABLE, renames.setdefault(term.lexical, f"v{len(renames)}"))
+
+    steps = tuple(
+        Step(canon(predicates[i]), directions[i], canon(nodes[i + 1]))
+        for i in range(len(predicates))
+    )
+    return PathSignature(steps, (nodes[0], nodes[-1]))
+
+
+def oracle_shortest_path(graph, x, y):
+    """Every minimum-hop walk from ``x`` to ``y`` over every edge of
+    ``graph.edges``, each made a signature; the least one by ``sort_key``."""
+    adj = {}
+    for edge in graph.edges:
+        adj.setdefault(edge.subject, []).append((edge.predicate, FORWARD, edge.object))
+        adj.setdefault(edge.object, []).append((edge.predicate, BACKWARD, edge.subject))
+    dist = {y: 0}
+    queue = deque([y])
+    while queue:
+        node = queue.popleft()
+        for _, _, neighbor in adj.get(node, ()):
+            if neighbor not in dist:
+                dist[neighbor] = dist[node] + 1
+                queue.append(neighbor)
+    if x not in dist:
+        return None
+    signatures = []
+    stack = [(x, ())]
+    while stack:
+        node, hops = stack.pop()
+        if node == y:
+            signatures.append(_oracle_signature(x, hops))
+            continue
+        for hop in adj.get(node, ()):
+            if dist.get(hop[2]) == dist[node] - 1:
+                stack.append((hop[2], hops + (hop,)))
+    return min(signatures, key=PathSignature.sort_key)
+
+
+_Q_SUBJECTS = ["A", "B", "_:b", "?x", "?y", "?z"]
+_Q_PREDICATES = ["p", "q", "a", "?x", "?p"]
+_Q_OBJECTS = ["A", "B", "C", "D", '"l"', '"l"@en', "7", "_:b", "?x", "?y", "?z"]
+
+# a query is a list of (subject, predicate, object) tokens; `a` with several
+# classes makes type collapse merge variables into parallel edges
+_small_queries = st.lists(
+    st.tuples(st.sampled_from(_Q_SUBJECTS), st.sampled_from(_Q_PREDICATES),
+              st.sampled_from(_Q_OBJECTS)),
+    min_size=1, max_size=7,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tokens=_small_queries)
+def test_shortest_path_matches_enumerator_oracle(tokens):
+    graph = build_graph(parse_query(
+        "SELECT * WHERE { " + " . ".join(" ".join(t) for t in tokens) + " }"))
+    concrete = sorted((t for t in graph.nodes if t.concrete), key=Term.sort_key)
+    absent = iri("Absent")
+    for x, y in itertools.permutations(concrete + [absent], 2):
+        assert shortest_path(graph, x, y) == oracle_shortest_path(graph, x, y), (x, y)
+
+
+def test_enumerator_oracle_on_parallel_collapsed_edges():
+    # ?x and ?y both collapse to A, so `A a B` appears twice as a parallel edge
+    graph = graph_of("SELECT * WHERE {?x a A. ?x a B. ?y a A. ?y a B. ?y p C.}")
+    assert graph.edges.count(TriplePattern(iri("A"), RDF_TYPE, iri("B"))) == 2
+    for x, y in itertools.permutations([iri("A"), iri("B"), iri("C")], 2):
+        assert shortest_path(graph, x, y) == oracle_shortest_path(graph, x, y)
