@@ -159,11 +159,20 @@ def test_log_option_usage_errors_exit_two(options, tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budgets", ["", "0", "5,0", "5,-1", "5,,10", "x"])
+@pytest.mark.parametrize("budgets", ["", "0", "5,0", "5,-1", "5,,10", "x", "5,5", "5,10,5"])
 def test_evaluate_bad_budget_list_exits_two_before_load(budgets, tmp_path, capsys):
     code = main(["evaluate", "--log", str(tmp_path / "absent.txt"), "--k", budgets])
     assert code == 2
     assert "IoError" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategies", ["", ",", "isummary,isummary", "random,isummary,random",
+                                        "isummary,nope"])
+def test_evaluate_bad_strategy_list_exits_two_before_load(strategies, tmp_path, capsys):
+    code = main(["evaluate", "--log", str(tmp_path / "absent.txt"), "--strategies", strategies])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "InvalidRequest" in err and "IoError" not in err
 
 
 @pytest.mark.parametrize("options", [
@@ -186,6 +195,7 @@ def test_evaluate_bad_protocol_option_exits_two_before_load(options, tmp_path, c
     ["--sample-seeds", "0"],
     ["--format", "tsv"],
     ["--w-node", "0.5"],  # the weights are evaluate's alone
+    ["--k", "5,5"],
 ])
 def test_reference_protocol_usage_errors_exit_two_before_load(options, tmp_path):
     # the log does not exist, so exit 2 without a traceback shows the check ran first

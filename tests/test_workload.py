@@ -101,6 +101,15 @@ def test_rq_directory_lexicographic(tmp_path):
     assert [q.patterns[0].object for q in store.queries] == [iri("Person"), iri("Robot")]
 
 
+def test_rq_directory_skips_subdirectories(tmp_path):
+    (tmp_path / "a.rq").write_text("SELECT ?x WHERE {?x a Person}", encoding="utf-8")
+    (tmp_path / "b.rq").mkdir()
+    (tmp_path / "b.rq" / "c.rq").write_text("SELECT ?x WHERE {?x a Robot}", encoding="utf-8")
+    store = load_workload(tmp_path, format="rq-directory")
+    assert [q.patterns[0].object for q in store.queries] == [iri("Person")]
+    assert store.rejected_count == 0
+
+
 def test_tsv_with_failing_header(tmp_path):
     path = tmp_path / "log.tsv"
     path.write_text(
