@@ -36,8 +36,11 @@ def _positive_int(value: str) -> int:
 
 
 def _int_list(value: str) -> list[int]:
-    """A non-empty comma-separated list of positive integers."""
-    return [_positive_int(part) for part in value.split(",")]
+    """A non-empty comma-separated list of distinct positive integers."""
+    numbers = [_positive_int(part) for part in value.split(",")]
+    if len(set(numbers)) != len(numbers):
+        raise argparse.ArgumentTypeError("entries must be distinct")
+    return numbers
 
 
 def _add_log_options(sub):
@@ -162,10 +165,12 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     strategies = [s for s in args.strategies.split(",") if s]
-    for strategy in strategies:
-        if strategy not in summarizer.STRATEGIES:
-            print(f"InvalidRequest: unknown strategy {strategy!r}", file=sys.stderr)
-            return 2
+    unknown = [s for s in strategies if s not in summarizer.STRATEGIES]
+    if unknown or not strategies or len(set(strategies)) != len(strategies):
+        problem = (f"unknown strategy {unknown[0]!r}" if unknown else
+                   f"need a non-empty list of distinct strategies, got {args.strategies!r}")
+        print(f"InvalidRequest: {problem}", file=sys.stderr)
+        return 2
     store = _load(args)
     result = evaluate(store, args.config, args.k, strategies)
     for warning in result.warnings:

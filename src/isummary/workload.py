@@ -170,7 +170,7 @@ def _iter_records(path: Path, format: str, tsv_column: int | None) -> Iterator[t
         if not path.is_dir():
             raise IoError(f"not a directory: {path}")
         try:
-            files = sorted(path.glob("*.rq"))
+            files = sorted(f for f in path.glob("*.rq") if f.is_file())
         except OSError as exc:
             raise IoError(f"cannot list {path}: {exc}") from exc
         for index, rq_file in enumerate(files, start=1):
