@@ -5,11 +5,18 @@ each edge runs from its subject to its object.  Only ``build_graph`` applies
 type collapse.  It relabels a variable only by the IRI object of one of its
 own ``?v rdf:type C`` patterns, which is a concrete node already, so
 ``concrete_node_terms`` reads the node set from the patterns.
+
+A hop along an edge, either way, is a ``Step``.  The graph keeps each node's
+distinct hops, so parallel edges with the same predicate and orientation are
+walked once.  ``shortest_path`` walks hops from the endpoint with the lesser
+sort key, and a path's signature is its walked steps with the variables
+renamed by position.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import NamedTuple
 
 from .parser import ParsedQuery
@@ -20,9 +27,16 @@ BACKWARD = "backward"
 
 
 class Step(NamedTuple):
+    """One hop of a path: the edge's predicate, the direction it is walked in
+    relative to its as-written orientation, and the node it reaches."""
+
     predicate: Term
     direction: str
     waypoint: Term
+
+
+def _steps_key(steps) -> tuple:
+    return tuple((s.predicate.sort_key(), s.direction, s.waypoint.sort_key()) for s in steps)
 
 
 class PathSignature(NamedTuple):
@@ -39,29 +53,28 @@ class PathSignature(NamedTuple):
     endpoints: tuple[Term, Term]
 
     def sort_key(self):
-        return (
-            tuple((s.predicate.sort_key(), s.direction, s.waypoint.sort_key()) for s in self.steps),
-            self.endpoints[0].sort_key(),
-            self.endpoints[1].sort_key(),
-        )
+        return (_steps_key(self.steps), self.endpoints[0].sort_key(), self.endpoints[1].sort_key())
 
 
 class QueryGraph:
     """Undirected labeled multigraph induced by one query after type collapse.
 
     ``edges`` are the collapsed query's triple patterns; the subject-to-object
-    direction of each is its as-written orientation.
+    direction of each is its as-written orientation.  Each node's hops are the
+    distinct ``Step``s out of it, both ways along its edges: parallel edges
+    with the same predicate and orientation are one hop.
     """
 
-    __slots__ = ("nodes", "edges", "_adj")
+    __slots__ = ("nodes", "edges", "_hops")
 
     def __init__(self, nodes, edges):
         self.nodes: frozenset[Term] = frozenset(nodes)
         self.edges: tuple[TriplePattern, ...] = tuple(edges)
-        self._adj: dict[Term, list[tuple[Term, int, str]]] = {}
-        for idx, edge in enumerate(self.edges):
-            self._adj.setdefault(edge.subject, []).append((edge.object, idx, FORWARD))
-            self._adj.setdefault(edge.object, []).append((edge.subject, idx, BACKWARD))
+        hops: dict[Term, dict[Step, None]] = {}
+        for subject, predicate, obj in self.edges:
+            hops.setdefault(subject, {})[Step(predicate, FORWARD, obj)] = None
+            hops.setdefault(obj, {})[Step(predicate, BACKWARD, subject)] = None
+        self._hops: dict[Term, tuple[Step, ...]] = {n: tuple(h) for n, h in hops.items()}
 
 
 def _type_relabel(patterns) -> dict[Term, Term]:
@@ -130,79 +143,60 @@ def _bfs_distances(graph: QueryGraph, start: Term) -> dict[Term, int]:
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for neighbor, _, _ in graph._adj.get(node, ()):
-            if neighbor not in dist:
-                dist[neighbor] = dist[node] + 1
-                queue.append(neighbor)
+        for step in graph._hops.get(node, ()):
+            if step.waypoint not in dist:
+                dist[step.waypoint] = dist[node] + 1
+                queue.append(step.waypoint)
     return dist
 
 
-def _make_signature(graph: QueryGraph, start: Term, walk) -> PathSignature:
-    nodes = [start]
-    predicates = []
-    directions = []
-    for edge_idx, direction in walk:
-        edge = graph.edges[edge_idx]
-        predicates.append(edge.predicate)
-        directions.append(direction)
-        nodes.append(edge.object if direction == FORWARD else edge.subject)
+@lru_cache(maxsize=None)
+def _canonical_variable(index: int) -> Term:
+    return Term(VARIABLE, f"v{index}")
 
-    if nodes[0].sort_key() > nodes[-1].sort_key():
-        nodes.reverse()
-        predicates.reverse()
-        directions = [BACKWARD if d == FORWARD else FORWARD for d in reversed(directions)]
 
-    renames: dict[str, str] = {}
+def _renamed(steps: tuple[Step, ...]) -> tuple[Step, ...]:
+    """``steps`` with each variable renamed by its first position (v0, v1, ...)."""
+    renames: dict[Term, Term] = {}
 
     def canon(term: Term) -> Term:
         if term.kind != VARIABLE:
             return term
-        name = renames.setdefault(term.lexical, f"v{len(renames)}")
-        return Term(VARIABLE, name)
+        if term not in renames:
+            renames[term] = _canonical_variable(len(renames))
+        return renames[term]
 
-    steps = tuple(
-        Step(canon(predicates[i]), directions[i], canon(nodes[i + 1]))
-        for i in range(len(predicates))
-    )
-    return PathSignature(steps, (nodes[0], nodes[-1]))
+    return tuple(Step(canon(s.predicate), s.direction, canon(s.waypoint)) for s in steps)
 
 
 def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
     """Minimum-hop path between two concrete terms, as a canonical signature.
 
-    Among equal-length paths the lexicographically least signature wins.
-    Returns None when either endpoint is absent or unreachable.
+    The path is walked from the endpoint with the lesser sort key.  Among
+    equal-length paths the lexicographically least signature wins.  Returns
+    None when either endpoint is absent or unreachable.
     """
     if x == y:
         raise ValueError("path endpoints must differ")
     if not (x.concrete and y.concrete):
         raise ValueError("path endpoints must be concrete")
-    if x not in graph.nodes or y not in graph.nodes:
-        return None
-    dist = _bfs_distances(graph, y)
-    if x not in dist:
+    start, end = (x, y) if x.sort_key() < y.sort_key() else (y, x)
+    dist = _bfs_distances(graph, end)
+    if start not in dist:
         return None
 
-    best: PathSignature | None = None
-    best_key = None
-    stack = [(x, dist[x], ())]
+    best = best_key = None
+    stack = [(start, ())]
     while stack:
-        node, remaining, walk = stack.pop()
-        if remaining == 0:
-            sig = _make_signature(graph, x, walk)
-            key = sig.sort_key()
+        node, steps = stack.pop()
+        if node == end:
+            steps = _renamed(steps)
+            key = _steps_key(steps)
             if best_key is None or key < best_key:
-                best, best_key = sig, key
+                best, best_key = steps, key
             continue
-        seen_moves = set()
-        for neighbor, edge_idx, direction in graph._adj.get(node, ()):
-            if dist.get(neighbor) != remaining - 1:
-                continue
-            # parallel edges with equal label and orientation yield the same
-            # signature; walk only one of them
-            move = (neighbor, graph.edges[edge_idx].predicate, direction)
-            if move in seen_moves:
-                continue
-            seen_moves.add(move)
-            stack.append((neighbor, remaining - 1, walk + ((edge_idx, direction),)))
-    return best
+        remaining = dist[node] - 1
+        for step in graph._hops[node]:
+            if dist.get(step.waypoint) == remaining:
+                stack.append((step.waypoint, steps + (step,)))
+    return PathSignature(best, (start, end))
