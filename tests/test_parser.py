@@ -1,9 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isummary.parser import (
     ParseError,
+    _tokenize,
     canonical_text,
     parse_query,
     parse_term,
@@ -265,3 +268,61 @@ def test_token_soup_parses_or_raises_parse_error(prologue, soup):
     except ParseError:
         return
     assert parsed.patterns
+
+
+# -- tokenizer oracle ---------------------------------------------------------
+
+# The tokenizer as it was when every whitespace run was a token of its own and
+# every token an object: the new tokens must equal its non-WS ones.
+_ORACLE_TOKEN_RE = re.compile(
+    r"""
+    (?P<WS>\s+)
+  | (?P<IRIREF><[^<>"{}|^`\\\x00-\x20]*>)
+  | (?P<VAR>[?$][A-Za-z_][A-Za-z0-9_]*)
+  | (?P<BLANK>_:[A-Za-z_][A-Za-z0-9_\-]*)
+  | (?P<STRING>"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
+  | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+  | (?P<DTSEP>\^\^)
+  | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
+  | (?P<NAME>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?|[A-Za-z_][A-Za-z0-9_\-]*)
+  | (?P<PUNCT>[{}().;,*])
+  | (?P<PATHOP>[/|^+!?])
+  | (?P<OTHER>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class _OracleToken:
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind, value, pos):
+        self.kind = kind
+        self.value = value
+        self.pos = pos
+
+
+def _oracle_tokenize(text):
+    tokens = []
+    for m in _ORACLE_TOKEN_RE.finditer(text):
+        if m.lastgroup == "WS":
+            continue
+        tokens.append(_OracleToken(m.lastgroup, m.group(), m.start()))
+    return tokens
+
+
+_TOKEN_FRAGMENTS = _SOUP_TOKENS + (
+    "<http://ex/é>", '"héllo wörld"', "'日本語'", "ü", "日本", "e:naïve", "?ß", "@en-GB",
+    '"unterminated', "'half", '"esc\\"aped"', '"line\nbreak"', "<open", "open>", "<a b>",
+    "#", "%", "~", "&", "=", "[", "]", "`", "\x00", "-", "_", "_:", "$", "1.", ".5", "\u2028",
+)
+_WHITESPACE = st.text(st.sampled_from(" \t\n\r\u00a0\x0b\x0c"), max_size=4)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.tuples(_WHITESPACE, st.sampled_from(_TOKEN_FRAGMENTS)), max_size=30),
+       _WHITESPACE)
+def test_tokenizer_matches_oracle(pieces, trailing):
+    text = "".join(ws + fragment for ws, fragment in pieces) + trailing
+    expected = [(t.kind, t.value, t.pos) for t in _oracle_tokenize(text)]
+    assert [(t.kind, t.value, t.pos) for t in _tokenize(text)] == expected
