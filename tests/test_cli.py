@@ -142,6 +142,28 @@ def test_oracle_reads_instance_directory(tmp_path):
 
 
 @pytest.mark.parametrize("options", [
+    ["--skew", "-2"],
+    ["--mean-patterns", "-1"],
+    ["--mean-patterns", "0.5"],
+    ["--n-queries", "0"],
+])
+def test_synth_bad_spec_exits_two_before_writing(options, tmp_path, capsys):
+    out = tmp_path / "log.txt"
+    code = main(["synth", "--n-queries", "10", *options, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_oracle_negative_trials_exits_two(tmp_path, capsys):
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--trials", "-3", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options", [
     ["--format", "tsv"],
     ["--tsv-column", "1"],
     ["--format", "raw-lines", "--tsv-column", "0"],

@@ -48,6 +48,62 @@ def test_garbage_lines_counted(tmp_path, caplog):
     assert "line 2" in caplog.text and "line 4" in caplog.text
 
 
+_REPEATS_LOG = (
+    "SELECT ?x WHERE {?x a Person. ?x advisor ?y}\n"
+    "not sparql\n"
+    "\n"
+    "SELECT ?x WHERE {?x a Person. ?x advisor ?y}\n"
+    "not sparql\n"
+    "SELECT ?x WHERE {?x a Person. ?x advisor ?y}\n"
+)
+
+
+def test_repeated_records_keep_their_ids_lines_and_rejections(tmp_path, caplog):
+    path = tmp_path / "log.txt"
+    path.write_text(_REPEATS_LOG, encoding="utf-8")
+    with caplog.at_level("WARNING", logger="isummary.workload"):
+        store = load_workload(path, format="raw-lines")
+    assert [(q.id, q.source_line) for q in store.queries] == [(0, 1), (1, 4), (2, 6)]
+    assert store.rejected_count == 2
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 2
+    assert "line 2 " in warnings[0] and "line 5 " in warnings[1]
+    assert all("(byte 0)" in w for w in warnings)
+
+
+def test_repeated_record_text_shares_one_patterns_tuple(tmp_path):
+    path = tmp_path / "log.txt"
+    path.write_text(_REPEATS_LOG, encoding="utf-8")
+    store = load_workload(path, format="raw-lines")
+    assert store.query(0).patterns is store.query(1).patterns is store.query(2).patterns
+    alone = parse_query(_REPEATS_LOG.splitlines()[0])
+    assert store.query(2).patterns == alone.patterns
+
+
+def test_load_builds_each_distinct_triple_once(tmp_path, monkeypatch):
+    from isummary.terms import TriplePattern
+
+    path = tmp_path / "log.txt"
+    path.write_text(
+        _REPEATS_LOG
+        + "SELECT ?x WHERE {?x a Person. ?x name ?n}\n"
+        + "SELECT ?y WHERE {?y advisor ?z. ?x advisor ?y. ?x a Person}\n",
+        encoding="utf-8",
+    )
+    built = []
+    new = TriplePattern.__new__
+
+    def counting(cls, *args):
+        built.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(TriplePattern, "__new__", counting)
+    store = load_workload(path, format="raw-lines")
+    distinct = {p for q in store.queries for p in q.patterns}
+    assert len(store) == 5
+    assert len(built) == len(distinct) == 4
+
+
 def test_deeply_nested_record_counted_as_rejected(tmp_path):
     depth = 2000
     path = tmp_path / "log.txt"
