@@ -16,23 +16,32 @@ from typing import NamedTuple
 
 from .terms import BLANK, IRI, LITERAL, RDF_TYPE, VARIABLE, Term, TriplePattern
 
+# Every match is one token with the whitespace after it folded in; the
+# whitespace before the first token is skipped by ``_LEADING_SPACE``.
+# Unknown characters are OTHER tokens: they are legal inside skipped FILTER
+# expressions and rejected wherever the grammar consumes them.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
-  | (?P<IRIREF><[^<>"{}|^`\\\x00-\x20]*>)
-  | (?P<VAR>[?$][A-Za-z_][A-Za-z0-9_]*)
-  | (?P<BLANK>_:[A-Za-z_][A-Za-z0-9_\-]*)
-  | (?P<STRING>"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
-  | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
-  | (?P<DTSEP>\^\^)
-  | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
-  | (?P<NAME>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?|[A-Za-z_][A-Za-z0-9_\-]*)
-  | (?P<PUNCT>[{}().;,*])
-  | (?P<PATHOP>[/|^+!?])
-  | (?P<OTHER>.)
+    (?:
+      (?P<IRIREF><[^<>"{}|^`\\\x00-\x20]*>)
+    | (?P<VAR>[?$][A-Za-z_][A-Za-z0-9_]*)
+    | (?P<BLANK>_:[A-Za-z_][A-Za-z0-9_\-]*)
+    | (?P<STRING>"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
+    | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+    | (?P<DTSEP>\^\^)
+    | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
+    | (?P<NAME>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?|[A-Za-z_][A-Za-z0-9_\-]*)
+    | (?P<PUNCT>[{}().;,*])
+    | (?P<PATHOP>[/|^+!?])
+    | (?P<OTHER>\S)
+    )
+    \s*
     """,
     re.VERBOSE | re.DOTALL,
 )
+_LEADING_SPACE = re.compile(r"\s*")
+# the kind of the sentinel token that closes every token list, at len(text)
+END = "END"
 
 # Constructs that are recognised but not part of the supported subset.
 _REJECTED_KEYWORDS = {
@@ -65,23 +74,13 @@ class ParsedQuery(NamedTuple):
     source_line: int = 0
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-
-def _tokenize(text):
-    # unknown characters become OTHER tokens: they are legal inside skipped
-    # FILTER expressions and rejected wherever the grammar consumes them
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "WS":
-            continue
-        tokens.append(_Token(m.lastgroup, m.group(), m.start()))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, value, start)`` of each token, then ``(END, "", len(text))``."""
+    tokens = [
+        (m.lastgroup, m[m.lastindex], m.start())
+        for m in _TOKEN_RE.finditer(text, _LEADING_SPACE.match(text).end())
+    ]
+    tokens.append((END, "", len(text)))
     return tokens
 
 
@@ -90,21 +89,24 @@ def _byte_offset(text: str, char_pos: int) -> int:
 
 
 class _Parser:
+    """Recursive descent over the token list; ``pos`` indexes the next token,
+    and the END sentinel stops every walk at the end of the text."""
+
     def __init__(self, text: str, base_prefix: str | None, intern: dict | None = None):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.base_prefix = base_prefix or ""
-        self.terms = {} if intern is None else intern
+        self.table = {} if intern is None else intern
         self.depth = 0
 
     def _term(self, kind: str, lexical: str, extra: str | None = None) -> Term:
         # a Term is built, and validated, only for a key the table lacks
         key = (kind, lexical, extra)
-        term = self.terms.get(key)
+        term = self.table.get(key)
         if term is None:
-            term = self.terms[key] = Term(kind, lexical, extra)
+            term = self.table[key] = Term(kind, lexical, extra)
         return term
 
     # -- token plumbing ----------------------------------------------------
@@ -112,33 +114,31 @@ class _Parser:
     def _error(self, reason, token=None):
         if token is None:
             token = self._peek()
-        offset = _byte_offset(self.text, token.pos) if token else _byte_offset(self.text, len(self.text))
-        raise ParseError(reason, offset)
+        raise ParseError(reason, _byte_offset(self.text, token[2]))
 
-    def _peek(self, ahead=0):
-        idx = self.pos + ahead
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def _peek(self):
+        return self.tokens[self.pos]
 
     def _advance(self):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of query", _byte_offset(self.text, len(self.text)))
+        tok = self.tokens[self.pos]
+        if tok[0] == END:
+            self._error("unexpected end of query", tok)
         self.pos += 1
         return tok
 
     def _at_punct(self, ch):
-        tok = self._peek()
-        return tok is not None and tok.kind == "PUNCT" and tok.value == ch
+        kind, value, _ = self.tokens[self.pos]
+        return kind == "PUNCT" and value == ch
 
     def _expect_punct(self, ch):
         tok = self._advance()
-        if tok.kind != "PUNCT" or tok.value != ch:
+        if tok[0] != "PUNCT" or tok[1] != ch:
             self._error(f"expected {ch!r}", tok)
         return tok
 
     def _at_keyword(self, *words):
-        tok = self._peek()
-        return tok is not None and tok.kind == "NAME" and tok.value.upper() in words
+        kind, value, _ = self.tokens[self.pos]
+        return kind == "NAME" and value.upper() in words
 
     # -- grammar -----------------------------------------------------------
 
@@ -152,7 +152,7 @@ class _Parser:
         patterns: list[TriplePattern] = []
         self._parse_group(patterns)
         self._parse_trailing_modifiers()
-        if self._peek() is not None:
+        if self._peek()[0] != END:
             self._error("trailing content after query")
         if not patterns:
             self._error("empty basic graph pattern", open_tok)
@@ -162,15 +162,14 @@ class _Parser:
         while self._at_keyword("PREFIX"):
             self._advance()
             tok = self._advance()
-            if tok.kind != "NAME" or ":" not in tok.value or not tok.value.endswith(":"):
+            if tok[0] != "NAME" or not tok[1].endswith(":"):
                 self._error("malformed PREFIX declaration", tok)
-            name = tok.value[:-1]
             iri_tok = self._advance()
-            if iri_tok.kind != "IRIREF":
+            if iri_tok[0] != "IRIREF":
                 self._error("PREFIX requires an IRI", iri_tok)
-            self.prefixes[name] = iri_tok.value[1:-1]
+            self.prefixes[tok[1][:-1]] = iri_tok[1][1:-1]
         if self._at_keyword(*_REJECTED_KEYWORDS):
-            self._error(f"unsupported construct: {self._peek().value}")
+            self._error(f"unsupported construct: {self._peek()[1]}")
 
     def _parse_select(self):
         if not self._at_keyword("SELECT"):
@@ -181,42 +180,38 @@ class _Parser:
         if self._at_punct("*"):
             self._advance()
             return
-        saw_var = False
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind == "VAR":
-                self._advance()
-                saw_var = True
-            else:
-                break
-        if not saw_var:
+        if self._peek()[0] != "VAR":
             self._error("SELECT needs a variable list or '*'")
+        while self._peek()[0] == "VAR":
+            self._advance()
 
     def _parse_trailing_modifiers(self):
         while self._at_keyword("LIMIT", "OFFSET"):
             self._advance()
             tok = self._advance()
-            if tok.kind != "NUMBER":
+            if tok[0] != "NUMBER":
                 self._error("LIMIT/OFFSET require a number", tok)
 
     def _parse_group(self, patterns):
         """Parse the contents of a brace group (after '{'), flattening nested blocks."""
         while True:
             tok = self._peek()
-            if tok is None:
+            kind, value, _ = tok
+            if kind == END:
                 self._error("unterminated group")
-            if tok.kind == "PUNCT" and tok.value == "}":
-                self._advance()
-                return
-            if tok.kind == "PUNCT" and tok.value == ".":
-                # separator dots after FILTER clauses or nested groups
-                self._advance()
-                continue
-            if tok.kind == "PUNCT" and tok.value == "{":
-                self._parse_nested_group(patterns)
-                continue
-            if tok.kind == "NAME":
-                upper = tok.value.upper()
+            if kind == "PUNCT":
+                if value == "}":
+                    self._advance()
+                    return
+                if value == ".":
+                    # separator dots after FILTER clauses or nested groups
+                    self._advance()
+                    continue
+                if value == "{":
+                    self._parse_nested_group(patterns)
+                    continue
+            elif kind == "NAME":
+                upper = value.upper()
                 if upper == "FILTER":
                     self._advance()
                     self._skip_filter()
@@ -228,7 +223,7 @@ class _Parser:
                 if upper == "SELECT":
                     self._error("subqueries are not supported", tok)
                 if upper in _REJECTED_KEYWORDS:
-                    self._error(f"unsupported construct: {tok.value}", tok)
+                    self._error(f"unsupported construct: {value}", tok)
                 if upper == "UNION":
                     self._error("UNION without a preceding group", tok)
             self._parse_triples_block(patterns)
@@ -239,13 +234,11 @@ class _Parser:
         if self.depth > MAX_GROUP_DEPTH:
             self._error("group nesting too deep")
         while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "PUNCT" or tok.value != "{":
+            if not self._at_punct("{"):
                 self._error("expected '{'")
             self._advance()
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "NAME" and nxt.value.upper() == "SELECT":
-                self._error("subqueries are not supported", nxt)
+            if self._at_keyword("SELECT"):
+                self._error("subqueries are not supported")
             self._parse_group(patterns)
             if self._at_keyword("UNION"):
                 self._advance()
@@ -259,17 +252,15 @@ class _Parser:
         while True:
             predicate = self._parse_predicate()
             self._check_path_operator()
-            obj = self._parse_term()
-            self._append_pattern(patterns, subject, predicate, obj, subj_tok)
+            self._append_pattern(patterns, subject, predicate, self._parse_term(), subj_tok)
             while self._at_punct(","):
                 self._advance()
-                obj = self._parse_term()
-                self._append_pattern(patterns, subject, predicate, obj, subj_tok)
+                self._append_pattern(patterns, subject, predicate, self._parse_term(), subj_tok)
             if self._at_punct(";"):
                 self._advance()
-                nxt = self._peek()
+                kind, value, _ = self._peek()
                 # dangling ';' before '.', '}' or end of text is tolerated
-                if nxt is None or (nxt.kind == "PUNCT" and nxt.value in ".}"):
+                if kind == END or (kind == "PUNCT" and value in ".}"):
                     break
                 continue
             break
@@ -277,68 +268,72 @@ class _Parser:
             self._advance()
 
     def _append_pattern(self, patterns, subject, predicate, obj, subj_tok):
-        try:
-            patterns.append(TriplePattern(subject, predicate, obj))
-        except ValueError as exc:
-            self._error(str(exc), subj_tok)
+        # like terms, a TriplePattern is built and validated once per distinct key
+        key = (subject, predicate, obj)
+        pattern = self.table.get(key)
+        if pattern is None:
+            try:
+                pattern = self.table[key] = TriplePattern(subject, predicate, obj)
+            except ValueError as exc:
+                self._error(str(exc), subj_tok)
+        patterns.append(pattern)
 
     def _parse_predicate(self) -> Term:
         tok = self._peek()
-        if tok is None:
-            self._error("expected predicate")
-        if tok.kind == "PATHOP" or (tok.kind == "PUNCT" and tok.value in "(*"):
+        kind, value, _ = tok
+        if kind == "PATHOP" or (kind == "PUNCT" and value in "(*"):
             self._error("property paths are not supported", tok)
-        if tok.kind == "NAME" and tok.value == "a":
+        if kind == "NAME" and value == "a":
             self._advance()
             return RDF_TYPE
-        if tok.kind == "VAR":
+        if kind == "VAR":
             self._advance()
-            return self._term(VARIABLE, tok.value[1:])
-        if tok.kind == "IRIREF":
+            return self._term(VARIABLE, value[1:])
+        if kind == "IRIREF":
             self._advance()
             return self._iri_from_ref(tok)
-        if tok.kind == "NAME":
+        if kind == "NAME":
             self._advance()
             return self._term_from_name(tok)
         self._error("expected predicate", tok)
 
     def _check_path_operator(self):
         tok = self._peek()
-        if tok is not None and (
-            tok.kind == "PATHOP" or (tok.kind == "PUNCT" and tok.value == "*")
-        ):
+        if tok[0] == "PATHOP" or (tok[0] == "PUNCT" and tok[1] == "*"):
             self._error("property paths are not supported", tok)
 
     def _parse_term(self) -> Term:
         tok = self._advance()
-        if tok.kind == "OTHER":
-            self._error(f"unexpected character {tok.value!r}", tok)
-        if tok.kind == "VAR":
-            return self._term(VARIABLE, tok.value[1:])
-        if tok.kind == "IRIREF":
-            return self._iri_from_ref(tok)
-        if tok.kind == "BLANK":
-            return self._term(BLANK, tok.value[2:])
-        if tok.kind == "NUMBER":
-            return self._term(LITERAL, tok.value)
-        if tok.kind == "STRING":
-            return self._finish_literal(tok)
-        if tok.kind == "NAME":
-            if tok.value.upper() in _REJECTED_KEYWORDS or tok.value.upper() in (
+        kind, value, _ = tok
+        if kind == "VAR":
+            return self._term(VARIABLE, value[1:])
+        if kind == "NAME":
+            upper = value.upper()
+            if upper in _REJECTED_KEYWORDS or upper in (
                 "FILTER", "OPTIONAL", "UNION", "SELECT", "WHERE", "PREFIX",
             ):
-                self._error(f"unsupported construct: {tok.value}", tok)
+                self._error(f"unsupported construct: {value}", tok)
             return self._term_from_name(tok)
+        if kind == "IRIREF":
+            return self._iri_from_ref(tok)
+        if kind == "STRING":
+            return self._finish_literal(tok)
+        if kind == "BLANK":
+            return self._term(BLANK, value[2:])
+        if kind == "NUMBER":
+            return self._term(LITERAL, value)
+        if kind == "OTHER":
+            self._error(f"unexpected character {value!r}", tok)
         self._error("expected term", tok)
 
     def _iri_from_ref(self, tok) -> Term:
-        inner = tok.value[1:-1]
+        inner = tok[1][1:-1]
         if not inner:
             self._error("empty IRI", tok)
         return self._term(IRI, inner)
 
     def _term_from_name(self, tok) -> Term:
-        value = tok.value
+        value = tok[1]
         if ":" in value:
             prefix, _, local = value.partition(":")
             if prefix not in self.prefixes:
@@ -351,16 +346,16 @@ class _Parser:
 
     def _finish_literal(self, tok) -> Term:
         lexical = self._decode_string(tok)
-        nxt = self._peek()
-        if nxt is not None and nxt.kind == "LANGTAG":
+        kind, value, _ = self._peek()
+        if kind == "LANGTAG":
             self._advance()
-            return self._term(LITERAL, lexical, nxt.value)
-        if nxt is not None and nxt.kind == "DTSEP":
+            return self._term(LITERAL, lexical, value)
+        if kind == "DTSEP":
             self._advance()
             dt_tok = self._advance()
-            if dt_tok.kind == "IRIREF":
+            if dt_tok[0] == "IRIREF":
                 dt = self._iri_from_ref(dt_tok)
-            elif dt_tok.kind == "NAME" and ":" in dt_tok.value:
+            elif dt_tok[0] == "NAME" and ":" in dt_tok[1]:
                 dt = self._term_from_name(dt_tok)
             else:
                 self._error("expected datatype IRI", dt_tok)
@@ -368,7 +363,9 @@ class _Parser:
         return self._term(LITERAL, lexical)
 
     def _decode_string(self, tok) -> str:
-        body = tok.value[1:-1]
+        body = tok[1][1:-1]
+        if "\\" not in body:
+            return body
         out = []
         i = 0
         while i < len(body):
@@ -384,35 +381,28 @@ class _Parser:
         return "".join(out)
 
     def _skip_filter(self):
-        tok = self._peek()
-        if tok is None:
-            self._error("malformed FILTER")
-        if tok.kind == "NAME" and tok.value.upper() in ("EXISTS", "NOT"):
-            if tok.value.upper() == "NOT":
+        if self._at_keyword("EXISTS", "NOT"):
+            if self._at_keyword("NOT"):
                 self._advance()
-                tok = self._peek()
-                if tok is None or tok.kind != "NAME" or tok.value.upper() != "EXISTS":
+                if not self._at_keyword("EXISTS"):
                     self._error("malformed FILTER")
             self._advance()
             self._skip_balanced("{", "}")
             return
-        if tok.kind == "NAME":
+        if self._peek()[0] == "NAME":
             self._advance()
-            tok = self._peek()
-        if tok is None or tok.kind != "PUNCT" or tok.value != "(":
+        if not self._at_punct("("):
             self._error("malformed FILTER")
         self._skip_balanced("(", ")")
 
     def _skip_balanced(self, open_ch, close_ch):
-        tok = self._advance()
-        if tok.kind != "PUNCT" or tok.value != open_ch:
-            self._error(f"expected {open_ch!r}", tok)
+        self._expect_punct(open_ch)
         depth = 1
         while depth:
-            tok = self._advance()
-            if tok.kind == "PUNCT" and tok.value == open_ch:
+            kind, value, _ = self._advance()
+            if kind == "PUNCT" and value == open_ch:
                 depth += 1
-            elif tok.kind == "PUNCT" and tok.value == close_ch:
+            elif kind == "PUNCT" and value == close_ch:
                 depth -= 1
 
 
@@ -425,22 +415,38 @@ def parse_query(
 ) -> ParsedQuery:
     """Parse one query into its triple patterns.
 
-    ``intern`` maps ``(kind, lexical, datatype_or_lang)`` to the :class:`Term`
-    built for it; pass one per log, so each distinct term is built and validated
-    once and is one shared object across the log's queries.
+    ``intern`` is one table per log, parsed with one ``base_prefix``.  It maps
+    ``(kind, lexical, datatype_or_lang)`` to the :class:`Term` built for it,
+    ``(subject, predicate, object)`` to the :class:`TriplePattern` built for
+    it, and each record text to its patterns tuple or its rejection.  So each
+    distinct term and triple is built and validated once and is one shared
+    object across the log's queries, and each distinct text is parsed once:
+    a repeated text gets the same patterns tuple, or raises the same
+    rejection again.
 
     Raises :class:`ParseError` (with a byte offset) for anything outside the
     supported subset, including property paths and subqueries.
     """
-    patterns = _Parser(text, base_prefix, intern).parse()
-    return ParsedQuery(query_id, patterns, source_line)
+    if intern is None:
+        return ParsedQuery(query_id, _Parser(text, base_prefix).parse(), source_line)
+    known = intern.get(text)
+    if known is None:
+        try:
+            known = _Parser(text, base_prefix, intern).parse()
+        except ParseError as exc:
+            # a copy without the traceback, which would pin the parser and its tokens
+            known = ParseError(exc.reason, exc.offset)
+        intern[text] = known
+    if isinstance(known, ParseError):
+        raise ParseError(known.reason, known.offset)
+    return ParsedQuery(query_id, known, source_line)
 
 
 def parse_term(text: str, base_prefix: str | None = None) -> Term:
     """Parse a single term written in SPARQL surface syntax (for CLI seeds)."""
     parser = _Parser(text, base_prefix)
     term = parser._parse_term()
-    if parser._peek() is not None:
+    if parser._peek()[0] != END:
         parser._error("trailing content after term")
     return term
 

@@ -214,7 +214,9 @@ def load_workload(
     queries: list[ParsedQuery] = []
     rejected = 0
     first_record = True
-    terms: dict[tuple, Term] = {}
+    # the load's intern table (see parse_query): each distinct term, triple
+    # and record text costs once, and a repeated text shares its patterns
+    table: dict = {}
     for line_no, text in _iter_records(path, format, tsv_column):
         reason = None
         if text is None:
@@ -223,7 +225,7 @@ def load_workload(
             try:
                 queries.append(
                     parse_query(text, query_id=len(queries), source_line=line_no,
-                                base_prefix=base_prefix, intern=terms)
+                                base_prefix=base_prefix, intern=table)
                 )
             except ParseError as exc:
                 reason = exc

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isummary.parser import (
+    END,
     ParseError,
     _tokenize,
     canonical_text,
@@ -325,4 +326,4 @@ _WHITESPACE = st.text(st.sampled_from(" \t\n\r\u00a0\x0b\x0c"), max_size=4)
 def test_tokenizer_matches_oracle(pieces, trailing):
     text = "".join(ws + fragment for ws, fragment in pieces) + trailing
     expected = [(t.kind, t.value, t.pos) for t in _oracle_tokenize(text)]
-    assert [(t.kind, t.value, t.pos) for t in _tokenize(text)] == expected
+    assert _tokenize(text) == expected + [(END, "", len(text))]
