@@ -35,6 +35,13 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _non_negative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return number
+
+
 def _int_list(value: str) -> list[int]:
     """A non-empty comma-separated list of distinct positive integers."""
     numbers = [_positive_int(part) for part in value.split(",")]
@@ -96,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser("oracle", help="exact-vs-approximation quality check")
     cmd.add_argument("--instances", default=None,
                      help="directory of fixture instance files (*.txt)")
-    cmd.add_argument("--trials", type=int, default=200,
+    cmd.add_argument("--trials", type=_non_negative_int, default=200,
                      help="number of random instances to add")
     cmd.add_argument("--rng", type=int, default=7)
     cmd.add_argument("--out", default=None, help="CSV output path (default: stdout)")
@@ -127,6 +134,18 @@ def check_protocol_options(parser, args, **weights) -> CoverageConfig:
     try:
         return CoverageConfig(split_ratio=args.split, folds=args.folds,
                               sample_seeds=args.sample_seeds, rng_seed=args.rng, **weights)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def check_synth_options(parser, args) -> synth.SyntheticSpec:
+    """The synth options as a spec, or a usage error (exit 2) for a bad one."""
+    try:
+        return synth.SyntheticSpec(
+            n_queries=args.n_queries, classes=args.classes, predicates=args.predicates,
+            instances=args.instances, skew=args.skew, mean_patterns=args.mean_patterns,
+            rng_seed=args.rng,
+        )
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -247,12 +266,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = synth.SyntheticSpec(
-        n_queries=args.n_queries, classes=args.classes, predicates=args.predicates,
-        instances=args.instances, skew=args.skew, mean_patterns=args.mean_patterns,
-        rng_seed=args.rng,
-    )
-    count = synth.generate_synthetic(spec, args.out)
+    count = synth.generate_synthetic(args.spec, args.out)
     print(f"wrote {count} queries to {args.out}", file=sys.stderr)
     return 0
 
@@ -274,6 +288,8 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             args.config = check_protocol_options(parser, args,
                                                  w_node=args.w_node, w_edge=args.w_edge)
+        elif args.command == "synth":
+            args.spec = check_synth_options(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
