@@ -56,6 +56,14 @@ class PathSignature(NamedTuple):
         return (_steps_key(self.steps), self.endpoints[0].sort_key(), self.endpoints[1].sort_key())
 
 
+def _shared(table: dict, make, *fields):
+    """The one ``make(*fields)`` in ``table``, built on the first request."""
+    part = table.get(fields)
+    if part is None:
+        part = table[fields] = make(*fields)
+    return part
+
+
 class QueryGraph:
     """Undirected labeled multigraph induced by one query after type collapse.
 
@@ -63,18 +71,25 @@ class QueryGraph:
     direction of each is its as-written orientation.  Each node's hops are the
     distinct ``Step``s out of it, both ways along its edges: parallel edges
     with the same predicate and orientation are one hop.
+
+    ``intern`` is a table shared by the graphs of one workload: each distinct
+    ``Step`` and each distinct tuple of a node's hops is one object in it.
     """
 
     __slots__ = ("nodes", "edges", "_hops")
 
-    def __init__(self, nodes, edges):
+    def __init__(self, nodes, edges, intern: dict | None = None):
+        table = {} if intern is None else intern
         self.nodes: frozenset[Term] = frozenset(nodes)
         self.edges: tuple[TriplePattern, ...] = tuple(edges)
         hops: dict[Term, dict[Step, None]] = {}
         for subject, predicate, obj in self.edges:
-            hops.setdefault(subject, {})[Step(predicate, FORWARD, obj)] = None
-            hops.setdefault(obj, {})[Step(predicate, BACKWARD, subject)] = None
-        self._hops: dict[Term, tuple[Step, ...]] = {n: tuple(h) for n, h in hops.items()}
+            hops.setdefault(subject, {})[_shared(table, Step, predicate, FORWARD, obj)] = None
+            hops.setdefault(obj, {})[_shared(table, Step, predicate, BACKWARD, subject)] = None
+        self._hops: dict[Term, tuple[Step, ...]] = {}
+        for node, steps in hops.items():
+            steps = tuple(steps)
+            self._hops[node] = table.setdefault(steps, steps)
 
 
 def _type_relabel(patterns) -> dict[Term, Term]:
@@ -103,15 +118,18 @@ def concrete_node_terms(query: ParsedQuery) -> frozenset[Term]:
     )
 
 
-def build_graph(query: ParsedQuery) -> QueryGraph:
+def build_graph(query: ParsedQuery, intern: dict | None = None) -> QueryGraph:
     """Build the type-collapsed graph of one query.
 
     A variable with rdf:type patterns naming concrete classes is relabeled by
     its class everywhere; the pattern naming the chosen class is absorbed.
     With several distinct classes the lexicographically least one is chosen
     and the other type patterns stay as ordinary edges.  A pattern that
-    collapse leaves unchanged is its own edge.
+    collapse leaves unchanged is its own edge.  ``intern`` is the table the
+    graphs of one workload share (see ``QueryGraph``); a pattern that
+    collapse rewrites is one object in it too.
     """
+    table = {} if intern is None else intern
     relabel = _type_relabel(query.patterns)
 
     nodes: set[Term] = set()
@@ -129,8 +147,8 @@ def build_graph(query: ParsedQuery) -> QueryGraph:
         )
         if not absorbed:
             edge = (subject, predicate, obj)
-            edges.append(pattern if edge == pattern else TriplePattern(*edge))
-    return QueryGraph(nodes, edges)
+            edges.append(pattern if edge == pattern else _shared(table, TriplePattern, *edge))
+    return QueryGraph(nodes, edges, table)
 
 
 def concrete_edges(graph: QueryGraph) -> list[TriplePattern]:

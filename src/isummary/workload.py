@@ -37,9 +37,10 @@ class EmptyWorkload(Exception):
 class WorkloadStore:
     """Parsed queries plus an inverted index from concrete terms to query ids.
 
-    A store built from queries is a root: it owns the term index and the lazy
-    per-query graph and node-term memos.  ``subset`` returns a view that
-    shares all three with the root by reference and holds only its member
+    A store built from queries is a root: it owns the term index, the lazy
+    per-query graph and node-term memos, and the table of parts (steps, hop
+    tuples, collapsed triples) its graphs share.  ``subset`` returns a view
+    that shares all four with the root by reference and holds only its member
     queries.  The shared index may name ids outside a view, so ``filter``,
     ``ids`` and ``query`` answer for members only.  Query ids are never
     renumbered, so memoized graphs stay valid in every view.  Slot counts
@@ -48,8 +49,8 @@ class WorkloadStore:
     """
 
     __slots__ = (
-        "queries", "rejected_count", "term_index", "_by_id", "_graphs", "_node_terms",
-        "_slot_counts",
+        "queries", "rejected_count", "term_index", "_by_id", "_graphs", "_graph_parts",
+        "_node_terms", "_slot_counts",
     )
 
     def __init__(self, queries: Iterable[ParsedQuery], rejected_count: int = 0):
@@ -66,6 +67,7 @@ class WorkloadStore:
                     if term.concrete:
                         self.term_index.setdefault(term, set()).add(q.id)
         self._graphs: dict[int, QueryGraph] = {}
+        self._graph_parts: dict = {}
         self._node_terms: dict[int, frozenset[Term]] = {}
         self._slot_counts: dict[tuple[Term, str, str], Counter] = {}
 
@@ -81,7 +83,7 @@ class WorkloadStore:
     def graph(self, query_id: int) -> QueryGraph:
         g = self._graphs.get(query_id)
         if g is None:
-            g = build_graph(self._by_id[query_id])
+            g = build_graph(self._by_id[query_id], self._graph_parts)
             self._graphs[query_id] = g
         return g
 

@@ -339,6 +339,19 @@ def test_subset_view_property(data, texts):
     _assert_index_matches_scan(store)
 
 
+def test_graphs_of_a_store_and_its_views_share_steps_and_hop_tuples():
+    store = store_from_texts([
+        "SELECT * WHERE {?x a Person. ?x advisor <Ann>}",
+        "SELECT * WHERE {?z a Person. ?z advisor <Ann>. <Ann> name ?n}",
+    ])
+    first, second = store.graph(0), store.subset([1]).graph(1)
+    person, ann = iri("Person"), iri("Ann")
+    assert first._hops[person] is second._hops[person]
+    assert first._hops[ann][0] is second._hops[ann][0]
+    assert first.edges[0] is second.edges[0]
+    assert first._hops[ann] != second._hops[ann]
+
+
 def test_subset_view_shares_root_index_and_memos(university_store):
     sub = university_store.subset([1, 3]).subset([3])
     assert sub.term_index is university_store.term_index
