@@ -7,6 +7,11 @@ surrounding pattern list, FILTER clauses are skipped, and property paths or
 subqueries reject the whole query.  Bare names (the prefix-less style common
 in textbook examples) parse as IRIs verbatim, optionally re-rooted under a
 base prefix.
+
+One regex cuts a text into ``(kind, value, start)`` tokens, closed by an END
+token at the end of the text, and a recursive descent parser walks them.
+Loading a log passes one intern table to every ``parse_query`` call, so each
+distinct term, triple pattern and record text is built or parsed once.
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ from typing import NamedTuple
 from .terms import BLANK, IRI, LITERAL, RDF_TYPE, VARIABLE, Term, TriplePattern
 
 # Every match is one token with the whitespace after it folded in; the
-# whitespace before the first token is skipped by ``_LEADING_SPACE``.
-# Unknown characters are OTHER tokens: they are legal inside skipped FILTER
-# expressions and rejected wherever the grammar consumes them.
+# whitespace before the first token is skipped by ``_LEADING_SPACE``.  (Folded
+# in front, a trailing run would belong to no token, and the search would
+# rescan it from each of its positions.)  Unknown characters are OTHER tokens:
+# they are legal inside skipped FILTER expressions and rejected wherever the
+# grammar consumes them.
 _TOKEN_RE = re.compile(
     r"""
     (?:
