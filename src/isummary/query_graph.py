@@ -56,11 +56,14 @@ class PathSignature(NamedTuple):
         return (_steps_key(self.steps), self.endpoints[0].sort_key(), self.endpoints[1].sort_key())
 
 
-def _shared(table: dict, make, *fields):
-    """The one ``make(*fields)`` in ``table``, built on the first request."""
-    part = table.get(fields)
+def _shared(table: dict, make, key: tuple):
+    """The one part in ``table`` equal to ``key``, built as ``make(*key)`` on the
+    first request.  A part is its own key (it equals and hashes as its field
+    tuple), so the table holds no other object."""
+    part = table.get(key)
     if part is None:
-        part = table[fields] = make(*fields)
+        part = make(*key)
+        table[part] = part
     return part
 
 
@@ -84,8 +87,8 @@ class QueryGraph:
         self.edges: tuple[TriplePattern, ...] = tuple(edges)
         hops: dict[Term, dict[Step, None]] = {}
         for subject, predicate, obj in self.edges:
-            hops.setdefault(subject, {})[_shared(table, Step, predicate, FORWARD, obj)] = None
-            hops.setdefault(obj, {})[_shared(table, Step, predicate, BACKWARD, subject)] = None
+            hops.setdefault(subject, {})[_shared(table, Step, (predicate, FORWARD, obj))] = None
+            hops.setdefault(obj, {})[_shared(table, Step, (predicate, BACKWARD, subject))] = None
         self._hops: dict[Term, tuple[Step, ...]] = {}
         for node, steps in hops.items():
             steps = tuple(steps)
@@ -147,8 +150,9 @@ def build_graph(query: ParsedQuery, intern: dict | None = None) -> QueryGraph:
         )
         if not absorbed:
             edge = (subject, predicate, obj)
-            edges.append(pattern if edge == pattern else _shared(table, TriplePattern, *edge))
-    return QueryGraph(nodes, edges, table)
+            edges.append(pattern if edge == pattern else _shared(table, TriplePattern, edge))
+    # without collapse the edges are the patterns, and so is their tuple
+    return QueryGraph(nodes, edges if relabel else query.patterns, table)
 
 
 def concrete_edges(graph: QueryGraph) -> list[TriplePattern]:

@@ -271,6 +271,35 @@ def test_token_soup_parses_or_raises_parse_error(prologue, soup):
     assert parsed.patterns
 
 
+
+def _outcome(text, intern):
+    try:
+        return parse_query(text, intern=intern).patterns
+    except ParseError as exc:
+        return (exc.reason, exc.offset, str(exc))
+
+
+_soup_texts = st.builds(
+    lambda prologue, soup: prologue + "".join(token + sep for token, sep in soup),
+    st.sampled_from(_SOUP_PROLOGUES),
+    st.lists(st.tuples(st.sampled_from(_SOUP_TOKENS), st.sampled_from((" ", "", "\n"))),
+             max_size=12),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(_soup_texts, st.sampled_from((
+    "SELECT * WHERE { ?x a Person . ?x <p> \"v\" }", "SELECT * WHERE { ?x a Person }",
+)))))
+def test_intern_table_parses_each_text_as_without_one(texts):
+    table = {}
+    for text in texts + texts:
+        shared = _outcome(text, table)
+        assert shared == _outcome(text, None)
+        if isinstance(shared, tuple) and shared and isinstance(shared[0], TriplePattern):
+            assert shared is _outcome(text, table)
+            assert all(p is table[tuple(p)] for p in shared)
+
 # -- tokenizer oracle ---------------------------------------------------------
 
 # The tokenizer as it was when every whitespace run was a token of its own and
