@@ -77,6 +77,8 @@ class QueryGraph:
 
     ``intern`` is a table shared by the graphs of one workload: each distinct
     ``Step`` and each distinct tuple of a node's hops is one object in it.
+    Parts of different kinds never compare equal (their fields differ in
+    type), so one table holds them all.
     """
 
     __slots__ = ("nodes", "edges", "_hops")
