@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .terms import BLANK, IRI, LITERAL, RDF_TYPE, VARIABLE, Term, TriplePattern
+from .terms import BLANK, IRI, LITERAL, RDF_TYPE, VARIABLE, Term, TriplePattern, interned
 
 # Every match is one token with the whitespace after it folded in; the
 # whitespace before the first token is skipped by ``_LEADING_SPACE``.  (Folded
@@ -109,12 +109,7 @@ class _Parser:
         self.depth = 0
 
     def _term(self, kind: str, lexical: str, extra: str | None = None) -> Term:
-        # a Term is built, and validated, only for a key the table lacks
-        key = (kind, lexical, extra)
-        term = self.table.get(key)
-        if term is None:
-            term = self.table[key] = Term(kind, lexical, extra)
-        return term
+        return interned(self.table, Term, (kind, lexical, extra))
 
     # -- token plumbing ----------------------------------------------------
 
@@ -275,15 +270,10 @@ class _Parser:
             self._advance()
 
     def _append_pattern(self, patterns, subject, predicate, obj, subj_tok):
-        # like terms, a TriplePattern is built and validated once per distinct key
-        key = (subject, predicate, obj)
-        pattern = self.table.get(key)
-        if pattern is None:
-            try:
-                pattern = self.table[key] = TriplePattern(subject, predicate, obj)
-            except ValueError as exc:
-                self._error(str(exc), subj_tok)
-        patterns.append(pattern)
+        try:
+            patterns.append(interned(self.table, TriplePattern, (subject, predicate, obj)))
+        except ValueError as exc:
+            self._error(str(exc), subj_tok)
 
     def _parse_predicate(self) -> Term:
         tok = self._peek()
@@ -434,16 +424,15 @@ def parse_query(
     Raises :class:`ParseError` (with a byte offset) for anything outside the
     supported subset, including property paths and subqueries.
     """
-    if intern is None:
-        return ParsedQuery(query_id, _Parser(text, base_prefix).parse(), source_line)
-    known = intern.get(text)
+    table = {} if intern is None else intern
+    known = table.get(text)
     if known is None:
         try:
-            known = _Parser(text, base_prefix, intern).parse()
+            known = _Parser(text, base_prefix, table).parse()
         except ParseError as exc:
             # a copy without the traceback, which would pin the parser and its tokens
             known = ParseError(exc.reason, exc.offset)
-        intern[text] = known
+        table[text] = known
     if isinstance(known, ParseError):
         raise ParseError(known.reason, known.offset)
     return ParsedQuery(query_id, known, source_line)

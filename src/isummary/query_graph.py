@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .parser import ParsedQuery
-from .terms import RDF_TYPE, IRI, VARIABLE, Term, TriplePattern
+from .terms import RDF_TYPE, IRI, VARIABLE, Term, TriplePattern, interned
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -56,17 +56,6 @@ class PathSignature(NamedTuple):
         return (_steps_key(self.steps), self.endpoints[0].sort_key(), self.endpoints[1].sort_key())
 
 
-def _shared(table: dict, make, key: tuple):
-    """The one part in ``table`` equal to ``key``, built as ``make(*key)`` on the
-    first request.  A part is its own key (it equals and hashes as its field
-    tuple), so the table holds no other object."""
-    part = table.get(key)
-    if part is None:
-        part = make(*key)
-        table[part] = part
-    return part
-
-
 class QueryGraph:
     """Undirected labeled multigraph induced by one query after type collapse.
 
@@ -77,8 +66,6 @@ class QueryGraph:
 
     ``intern`` is a table shared by the graphs of one workload: each distinct
     ``Step`` and each distinct tuple of a node's hops is one object in it.
-    Parts of different kinds never compare equal (their fields differ in
-    type), so one table holds them all.
     """
 
     __slots__ = ("nodes", "edges", "_hops")
@@ -89,8 +76,8 @@ class QueryGraph:
         self.edges: tuple[TriplePattern, ...] = tuple(edges)
         hops: dict[Term, dict[Step, None]] = {}
         for subject, predicate, obj in self.edges:
-            hops.setdefault(subject, {})[_shared(table, Step, (predicate, FORWARD, obj))] = None
-            hops.setdefault(obj, {})[_shared(table, Step, (predicate, BACKWARD, subject))] = None
+            hops.setdefault(subject, {})[interned(table, Step, (predicate, FORWARD, obj))] = None
+            hops.setdefault(obj, {})[interned(table, Step, (predicate, BACKWARD, subject))] = None
         self._hops: dict[Term, tuple[Step, ...]] = {}
         for node, steps in hops.items():
             steps = tuple(steps)
@@ -152,7 +139,7 @@ def build_graph(query: ParsedQuery, intern: dict | None = None) -> QueryGraph:
         )
         if not absorbed:
             edge = (subject, predicate, obj)
-            edges.append(pattern if edge == pattern else _shared(table, TriplePattern, edge))
+            edges.append(pattern if edge == pattern else interned(table, TriplePattern, edge))
     # without collapse the edges are the patterns, and so is their tuple
     return QueryGraph(nodes, edges if relabel else query.patterns, table)
 

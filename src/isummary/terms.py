@@ -116,6 +116,22 @@ def term_from_json(obj: dict) -> Term:
 RDF_TYPE = Term(IRI, RDF_TYPE_IRI)
 
 
+def interned(table: dict, make, key: tuple):
+    """The one object in ``table`` equal to ``key``, built as ``make(*key)``
+    (and so validated) on the first request only.
+
+    Terms, triple patterns and path steps equal and hash as their field
+    tuples, so each object is its own key and the table keeps nothing else.
+    Objects of different kinds have fields of different types and never
+    compare equal, so one table can hold several kinds.
+    """
+    part = table.get(key)
+    if part is None:
+        part = make(*key)
+        table[part] = part
+    return part
+
+
 class _Triple(NamedTuple):
     subject: Term
     predicate: Term
