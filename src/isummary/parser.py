@@ -21,12 +21,12 @@ from typing import NamedTuple
 
 from .terms import BLANK, IRI, LITERAL, RDF_TYPE, VARIABLE, Term, TriplePattern, interned
 
-# Every match is one token with the whitespace after it folded in; the
-# whitespace before the first token is skipped by ``_LEADING_SPACE``.  (Folded
-# in front, a trailing run would belong to no token, and the search would
-# rescan it from each of its positions.)  Unknown characters are OTHER tokens:
-# they are legal inside skipped FILTER expressions and rejected wherever the
-# grammar consumes them.
+# Every match is one token with the whitespace after it folded in; the search
+# skips any whitespace before the first token, as no token starts with it.
+# (Folded in front, a trailing run would belong to no token, and the search
+# would rescan it from each of its positions.)  Unknown characters are OTHER
+# tokens: they are legal inside skipped FILTER expressions and rejected
+# wherever the grammar consumes them.
 _TOKEN_RE = re.compile(
     r"""
     (?:
@@ -46,7 +46,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
-_LEADING_SPACE = re.compile(r"\s*")
 # the kind of the sentinel token that closes every token list, at len(text)
 END = "END"
 
@@ -85,7 +84,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """``(kind, value, start)`` of each token, then ``(END, "", len(text))``."""
     tokens = [
         (m.lastgroup, m[m.lastindex], m.start())
-        for m in _TOKEN_RE.finditer(text, _LEADING_SPACE.match(text).end())
+        for m in _TOKEN_RE.finditer(text)
     ]
     tokens.append((END, "", len(text)))
     return tokens

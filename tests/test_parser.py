@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -299,6 +300,16 @@ def test_intern_table_parses_each_text_as_without_one(texts):
         if isinstance(shared, tuple) and shared and isinstance(shared[0], TriplePattern):
             assert shared is _outcome(text, table)
             assert all(p is table[tuple(p)] for p in shared)
+
+
+def test_long_whitespace_runs_tokenize_in_linear_time():
+    # a token regex that folds whitespace in front of each token rescans a
+    # trailing run from each of its positions: minutes for this text
+    pad = " " * 100_000
+    start = time.perf_counter()
+    patterns = patterns_of(pad + "SELECT * WHERE { ?s <p> ?o }" + pad + "\t" + pad)
+    assert time.perf_counter() - start < 2.0
+    assert len(patterns) == 1
 
 # -- tokenizer oracle ---------------------------------------------------------
 
