@@ -150,6 +150,19 @@ def check_synth_options(parser, args) -> synth.SyntheticSpec:
         parser.error(str(exc))
 
 
+def _write(path, emit) -> None:
+    """Call ``emit`` on a text handle: stdout when no ``path`` is given, else
+    the file at ``path``.  A file that cannot be opened or written is an IoError."""
+    if not path:
+        emit(sys.stdout)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            emit(fh)
+    except OSError as exc:
+        raise workload.IoError(f"cannot write {path}: {exc}") from exc
+
+
 def _load(args) -> workload.WorkloadStore:
     return workload.load_workload(
         args.log, format=args.format, tsv_column=args.tsv_column,
@@ -173,12 +186,10 @@ def _cmd_summarize(args) -> int:
     store = _load(args)
     summary = summarizer.summarize(store, request)
     triples = summarizer.to_ntriples(summary)
-    if args.out:
-        Path(args.out).write_text(triples, encoding="utf-8")
-    else:
-        sys.stdout.write(triples)
+    _write(args.out, lambda fh: fh.write(triples))
     if args.report:
-        Path(args.report).write_text(summarizer.to_json(summary), encoding="utf-8")
+        report = summarizer.to_json(summary)
+        _write(args.report, lambda fh: fh.write(report))
     return 0
 
 
@@ -194,11 +205,7 @@ def _cmd_evaluate(args) -> int:
     result = evaluate(store, args.config, args.k, strategies)
     for warning in result.warnings:
         print(warning, file=sys.stderr)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_csv(result.rows, fh)
-    else:
-        write_csv(result.rows, sys.stdout)
+    _write(args.out, lambda fh: write_csv(result.rows, fh))
     print(
         f"mean coverage {result.fold_stats.mean:.6f}"
         f" (std {result.fold_stats.std:.6f} over {len(result.fold_stats.fold_means)} folds)",
@@ -251,11 +258,7 @@ def _cmd_oracle(args) -> int:
         writer.writerow(header)
         writer.writerows(rows)
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-    else:
-        emit(sys.stdout)
+    _write(args.out, emit)
     solved = [r for r in rows if r[6] != "infeasible"]
     violated = sum(1 for r in solved if r[6] == "violated")
     print(
@@ -266,8 +269,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    count = synth.generate_synthetic(args.spec, args.out)
-    print(f"wrote {count} queries to {args.out}", file=sys.stderr)
+    _write(args.out, lambda fh: synth.write_queries(args.spec, fh))
+    print(f"wrote {args.spec.n_queries} queries to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -107,8 +107,12 @@ class _Parser:
         self.table = {} if intern is None else intern
         self.depth = 0
 
-    def _term(self, kind: str, lexical: str, extra: str | None = None) -> Term:
-        return interned(self.table, Term, (kind, lexical, extra))
+    def _term(self, tok, kind: str, lexical: str, extra: str | None = None) -> Term:
+        """The term read from ``tok``; a malformed one rejects the query there."""
+        try:
+            return interned(self.table, Term, (kind, lexical, extra))
+        except ValueError as exc:
+            self._error(str(exc), tok)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -284,7 +288,7 @@ class _Parser:
             return RDF_TYPE
         if kind == "VAR":
             self._advance()
-            return self._term(VARIABLE, value[1:])
+            return self._term(tok, VARIABLE, value[1:])
         if kind == "IRIREF":
             self._advance()
             return self._iri_from_ref(tok)
@@ -302,7 +306,7 @@ class _Parser:
         tok = self._advance()
         kind, value, _ = tok
         if kind == "VAR":
-            return self._term(VARIABLE, value[1:])
+            return self._term(tok, VARIABLE, value[1:])
         if kind == "NAME":
             upper = value.upper()
             if upper in _REJECTED_KEYWORDS or upper in (
@@ -315,9 +319,9 @@ class _Parser:
         if kind == "STRING":
             return self._finish_literal(tok)
         if kind == "BLANK":
-            return self._term(BLANK, value[2:])
+            return self._term(tok, BLANK, value[2:])
         if kind == "NUMBER":
-            return self._term(LITERAL, value)
+            return self._term(tok, LITERAL, value)
         if kind == "OTHER":
             self._error(f"unexpected character {value!r}", tok)
         self._error("expected term", tok)
@@ -326,7 +330,7 @@ class _Parser:
         inner = tok[1][1:-1]
         if not inner:
             self._error("empty IRI", tok)
-        return self._term(IRI, inner)
+        return self._term(tok, IRI, inner)
 
     def _term_from_name(self, tok) -> Term:
         value = tok[1]
@@ -337,15 +341,15 @@ class _Parser:
             expanded = self.prefixes[prefix] + local
             if not expanded:
                 self._error("empty IRI", tok)
-            return self._term(IRI, expanded)
-        return self._term(IRI, self.base_prefix + value)
+            return self._term(tok, IRI, expanded)
+        return self._term(tok, IRI, self.base_prefix + value)
 
     def _finish_literal(self, tok) -> Term:
         lexical = self._decode_string(tok)
         kind, value, _ = self._peek()
         if kind == "LANGTAG":
             self._advance()
-            return self._term(LITERAL, lexical, value)
+            return self._term(tok, LITERAL, lexical, value)
         if kind == "DTSEP":
             self._advance()
             dt_tok = self._advance()
@@ -355,8 +359,8 @@ class _Parser:
                 dt = self._term_from_name(dt_tok)
             else:
                 self._error("expected datatype IRI", dt_tok)
-            return self._term(LITERAL, lexical, dt.lexical)
-        return self._term(LITERAL, lexical)
+            return self._term(tok, LITERAL, lexical, dt.lexical)
+        return self._term(tok, LITERAL, lexical)
 
     def _decode_string(self, tok) -> str:
         body = tok[1][1:-1]

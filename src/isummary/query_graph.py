@@ -2,9 +2,8 @@
 
 A query graph's edges are the triple patterns of the type-collapsed query:
 each edge runs from its subject to its object.  Only ``build_graph`` applies
-type collapse.  It relabels a variable only by the IRI object of one of its
-own ``?v rdf:type C`` patterns, which is a concrete node already, so
-``concrete_node_terms`` reads the node set from the patterns.
+type collapse.  A graph holds edges and hops only; a query's concrete nodes
+are read from its patterns (``workload.concrete_node_terms``).
 
 A hop along an edge, either way, is a ``Step``.  The graph keeps each node's
 distinct hops, so parallel edges with the same predicate and orientation are
@@ -64,15 +63,14 @@ class QueryGraph:
     distinct ``Step``s out of it, both ways along its edges: parallel edges
     with the same predicate and orientation are one hop.
 
-    ``intern`` is a table shared by the graphs of one workload: each distinct
-    ``Step`` and each distinct tuple of a node's hops is one object in it.
+    ``table`` is shared by the graphs of one workload: each distinct ``Step``
+    and each distinct tuple of a node's hops is one object in it.  Built by
+    ``build_graph``.
     """
 
-    __slots__ = ("nodes", "edges", "_hops")
+    __slots__ = ("edges", "_hops")
 
-    def __init__(self, nodes, edges, intern: dict | None = None):
-        table = {} if intern is None else intern
-        self.nodes: frozenset[Term] = frozenset(nodes)
+    def __init__(self, edges, table: dict):
         self.edges: tuple[TriplePattern, ...] = tuple(edges)
         hops: dict[Term, dict[Step, None]] = {}
         for subject, predicate, obj in self.edges:
@@ -99,17 +97,6 @@ def _type_relabel(patterns) -> dict[Term, Term]:
     return {v: min(cs, key=Term.sort_key) for v, cs in classes.items()}
 
 
-def concrete_node_terms(query: ParsedQuery) -> frozenset[Term]:
-    """Concrete subject and object terms, i.e. the concrete nodes of ``build_graph(query)``.
-
-    Type collapse never adds or removes one: a variable collapses only to the
-    class object of its own rdf:type pattern, which is counted here already.
-    """
-    return frozenset(
-        t for p in query.patterns for t in (p.subject, p.object) if t.kind != VARIABLE
-    )
-
-
 def build_graph(query: ParsedQuery, intern: dict | None = None) -> QueryGraph:
     """Build the type-collapsed graph of one query.
 
@@ -117,21 +104,21 @@ def build_graph(query: ParsedQuery, intern: dict | None = None) -> QueryGraph:
     its class everywhere; the pattern naming the chosen class is absorbed.
     With several distinct classes the lexicographically least one is chosen
     and the other type patterns stay as ordinary edges.  A pattern that
-    collapse leaves unchanged is its own edge.  ``intern`` is the table the
+    collapse leaves unchanged is its own edge, and a query with nothing to
+    collapse has its patterns tuple as its edges.  ``intern`` is the table the
     graphs of one workload share (see ``QueryGraph``); a pattern that
     collapse rewrites is one object in it too.
     """
     table = {} if intern is None else intern
     relabel = _type_relabel(query.patterns)
+    if not relabel:
+        return QueryGraph(query.patterns, table)
 
-    nodes: set[Term] = set()
     edges: list[TriplePattern] = []
     for pattern in query.patterns:
         subject = relabel.get(pattern.subject, pattern.subject)
         predicate = relabel.get(pattern.predicate, pattern.predicate)
         obj = relabel.get(pattern.object, pattern.object)
-        nodes.add(subject)
-        nodes.add(obj)
         absorbed = (
             pattern.predicate == RDF_TYPE
             and pattern.subject in relabel
@@ -140,8 +127,7 @@ def build_graph(query: ParsedQuery, intern: dict | None = None) -> QueryGraph:
         if not absorbed:
             edge = (subject, predicate, obj)
             edges.append(pattern if edge == pattern else interned(table, TriplePattern, edge))
-    # without collapse the edges are the patterns, and so is their tuple
-    return QueryGraph(nodes, edges if relabel else query.patterns, table)
+    return QueryGraph(edges, table)
 
 
 def concrete_edges(graph: QueryGraph) -> list[TriplePattern]:

@@ -120,11 +120,13 @@ def iter_queries(spec: SyntheticSpec) -> Iterator[str]:
         yield _build_query(rng, samplers, _pattern_count(rng, spec.mean_patterns))
 
 
+def write_queries(spec: SyntheticSpec, fh) -> None:
+    """Write the workload to a text handle, one raw-lines query per line."""
+    fh.writelines(f"{query}\n" for query in iter_queries(spec))
+
+
 def generate_synthetic(spec: SyntheticSpec, path) -> int:
     """Write a raw-lines workload file; returns the number of queries written."""
-    count = 0
     with open(Path(path), "w", encoding="utf-8") as fh:
-        for query in iter_queries(spec):
-            fh.write(query + "\n")
-            count += 1
-    return count
+        write_queries(spec, fh)
+    return spec.n_queries

@@ -10,8 +10,8 @@ from typing import Iterable, Iterator
 from urllib.parse import unquote_plus
 
 from .parser import ParsedQuery, ParseError, parse_query
-from .query_graph import QueryGraph, build_graph, concrete_node_terms
-from .terms import Term, TriplePattern
+from .query_graph import QueryGraph, build_graph
+from .terms import VARIABLE, Term, TriplePattern
 
 logger = logging.getLogger(__name__)
 
@@ -32,6 +32,18 @@ class IoError(Exception):
 
 class EmptyWorkload(Exception):
     """No query in the input could be parsed."""
+
+
+def concrete_node_terms(query: ParsedQuery) -> frozenset[Term]:
+    """The concrete nodes of the query's type-collapsed graph: the concrete
+    subjects and objects of its patterns.
+
+    Type collapse never adds or removes one: it relabels a variable only by
+    the class object of one of its own rdf:type patterns, counted here already.
+    """
+    return frozenset(
+        t for p in query.patterns for t in (p.subject, p.object) if t.kind != VARIABLE
+    )
 
 
 class WorkloadStore:
@@ -88,8 +100,7 @@ class WorkloadStore:
         return g
 
     def node_terms(self, query_id: int) -> frozenset[Term]:
-        """Concrete nodes of the query's graph (memoized), read from its patterns:
-        type collapse cannot change them (see ``concrete_node_terms``)."""
+        """``concrete_node_terms`` of the query, memoized."""
         terms = self._node_terms.get(query_id)
         if terms is None:
             terms = concrete_node_terms(self._by_id[query_id])

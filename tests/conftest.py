@@ -21,6 +21,30 @@ def store_from_texts(texts):
     return WorkloadStore(queries)
 
 
+_RDF_TYPE = ("iri", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type", None)
+
+
+def collapsed_nodes(query):
+    """Oracle: the node set of the query's type-collapsed graph, variables
+    included, computed without calling the package.
+
+    A variable with rdf:type patterns naming IRIs is relabeled by its least
+    class (by IRI text); each pattern's relabeled subject and object is a
+    node.  Its concrete part must be the store's node terms: type collapse
+    never adds or removes a concrete node.
+    """
+    classes = {}
+    for subject, predicate, obj in query.patterns:
+        if predicate == _RDF_TYPE and subject.kind == "variable" and obj.kind == "iri":
+            classes.setdefault(subject, []).append(obj)
+    relabel = {v: min(cs, key=lambda c: c.lexical) for v, cs in classes.items()}
+    return {relabel.get(t, t) for subject, _, obj in query.patterns for t in (subject, obj)}
+
+
+def collapsed_concrete_nodes(query):
+    return {t for t in collapsed_nodes(query) if t.kind != "variable"}
+
+
 @pytest.fixture(scope="session")
 def university_store():
     return store_from_texts(UNIVERSITY_QUERIES)

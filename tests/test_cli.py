@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from isummary.cli import main
+from isummary.synth import SyntheticSpec, generate_synthetic
 
 from conftest import UNIVERSITY_FILE
 
@@ -73,6 +74,14 @@ def test_base_prefix_applied(log_file, tmp_path):
     assert out.read_text(encoding="utf-8") == (
         "<http://ex.org/Organization> <http://ex.org/affiliatedOf> <http://ex.org/Person> .\n"
     )
+
+
+def test_malformed_base_prefix_is_a_bad_seed(log_file, capsys):
+    code = main(["summarize", "--log", str(log_file), "--seed", "Person", "--k", "2",
+                 "--base-prefix", "http://a b/"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "InvalidRequest: bad seed term" in err and "Traceback" not in err
 
 
 def test_synth_then_evaluate_round_trip(tmp_path, capsys):
@@ -228,6 +237,43 @@ def test_reference_protocol_usage_errors_exit_two_before_load(options, tmp_path)
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("command,option", [
+    ("summarize", "--out"),
+    ("summarize", "--report"),
+    ("evaluate", "--out"),
+    ("oracle", "--out"),
+    ("synth", "--out"),
+])
+def test_unwritable_output_is_io_error(command, option, tmp_path, capsys):
+    log = tmp_path / "log.txt"
+    generate_synthetic(SyntheticSpec(n_queries=200, classes=8, predicates=16, instances=60), log)
+    args = {
+        "summarize": ["summarize", "--log", str(log), "--seed", "Class0", "--k", "2"],
+        "evaluate": ["evaluate", "--log", str(log), "--k", "2", "--folds", "1",
+                     "--sample-seeds", "2"],
+        "oracle": ["oracle", "--trials", "1"],
+        "synth": ["synth", "--n-queries", "5"],
+    }[command]
+    target = tmp_path / "missing" / "out.txt"
+    assert main(args + [option, str(target)]) == 3
+    assert f"IoError: cannot write {target}: " in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
+def test_reference_protocol_reports_mean_coverage_per_budget(tmp_path):
+    log = tmp_path / "log.txt"
+    generate_synthetic(SyntheticSpec(n_queries=200), log)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reference_protocol.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--log", str(log),
+         "--k", "2", "--folds", "1", "--sample-seeds", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "loaded 200 queries (0 rejected)" in proc.stdout
+    assert "k=2: mean coverage " in proc.stdout
 
 
 def test_summarize_request_checked_before_load(tmp_path, capsys):

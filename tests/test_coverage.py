@@ -20,7 +20,7 @@ from isummary.synth import SyntheticSpec, generate_synthetic
 from isummary.terms import Term, TriplePattern, iri
 from isummary.workload import load_workload
 
-from conftest import UNIVERSITY_QUERIES, store_from_texts
+from conftest import UNIVERSITY_QUERIES, collapsed_concrete_nodes, collapsed_nodes, store_from_texts
 
 PERSON = iri("Person")
 ORGANIZATION = iri("Organization")
@@ -126,8 +126,9 @@ def test_duplicated_test_queries_leave_mean_unchanged(university_store):
 
 
 def test_containing_whole_query_graph_is_full_coverage(university_store):
-    graph = build_graph(university_store.query(2))
-    nodes = tuple((t, 1) for t in sorted(graph.nodes, key=Term.sort_key))
+    query = university_store.query(2)
+    graph = build_graph(query)
+    nodes = tuple((t, 1) for t in sorted(collapsed_nodes(query), key=Term.sort_key))
     summary = Summary(
         triples=graph.edges,
         nodes=nodes,
@@ -157,9 +158,8 @@ def brute_force_coverage(summary, test_store, seeds, config):
             present.update(pattern.terms())
         if any(seed not in present for seed in seeds):
             continue
-        graph = build_graph(query)
-        nodes = [t for t in graph.nodes if t.concrete]
-        edges = [e for e in graph.edges if e.predicate.concrete]
+        nodes = collapsed_concrete_nodes(query)
+        edges = [e for e in build_graph(query).edges if e.predicate.concrete]
         hit_nodes = sum(1 for n in nodes if n in summary_terms)
         hit_edges = 0
         for edge in edges:

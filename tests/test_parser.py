@@ -72,6 +72,32 @@ def test_empty_prefix_iri_rejected():
         assert exc.value.reason == "empty IRI"
 
 
+# U+00A0 and U+2003 pass the IRIREF token but not a Term's IRI check; the
+# marker is the token the error must point at
+_MALFORMED_IRIS = [
+    ("SELECT * WHERE { <http://a\u00a0b> <p> ?x }", "<http://a"),
+    ('SELECT * WHERE { ?x <p> "v"^^<http://t\u2003y> }', "<http://t"),
+    ("PREFIX ex: <http://a\u00a0b/> SELECT * WHERE { ex:A <p> ?x }", "ex:A"),
+    ("SELECT * WHERE { <s> <p> \"v\" ; <p\u2003q> ?x }", "<p\u2003"),
+]
+
+
+@pytest.mark.parametrize("text,marker", _MALFORMED_IRIS,
+                         ids=["iri", "datatype", "prefixed-name", "predicate"])
+def test_malformed_iri_is_parse_error_at_its_token(text, marker):
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert exc.value.reason.startswith("malformed IRI")
+    assert exc.value.offset == len(text[:text.index(marker)].encode("utf-8"))
+
+
+def test_malformed_iri_in_parse_term_is_parse_error():
+    with pytest.raises(ParseError):
+        parse_term("Person", base_prefix="http://a b/")
+    with pytest.raises(ParseError):
+        parse_term("<http://a\u00a0b>")
+
+
 def test_unknown_prefix_rejected():
     with pytest.raises(ParseError) as exc:
         parse_query("SELECT ?x WHERE {?x foaf:name ?n}")
@@ -254,6 +280,7 @@ _SOUP_TOKENS = (
     "42", "3.5", '"lit"', "'s'", '"lit"@en', "@en", '"5"^^e:', '"5"^^<http://dt>',
     "^^", "^^e:x", "{", "}", "(", ")", ".", ";", ",", "/", "|", "+", "^", "!", "?",
     "OPTIONAL", "UNION", "FILTER", "EXISTS", "NOT", "LIMIT", "OFFSET", "ORDER", "\\", '"',
+    "<http://a\u00a0b>",
 )
 
 
@@ -271,6 +298,27 @@ def test_token_soup_parses_or_raises_parse_error(prologue, soup):
         return
     assert parsed.patterns
 
+
+
+# whitespace that the IRIREF token accepts (it excludes only up to U+0020)
+_UNICODE_SPACES = "\u0085\u00a0\u1680\u2003\u2028\u3000"
+_spaced_iris = st.text(alphabet="ab:/" + _UNICODE_SPACES, min_size=1, max_size=6).map(
+    lambda body: f"<{body}>")
+
+
+@settings(max_examples=300)
+@given(
+    _spaced_iris,
+    st.lists(st.one_of(_spaced_iris, st.sampled_from(_SOUP_TOKENS + ("u:", "u:x", '"v"^^u:'))),
+             max_size=12),
+)
+def test_unicode_whitespace_soup_parses_or_raises_parse_error(prefix_iri, soup):
+    text = f"PREFIX u: {prefix_iri} SELECT * WHERE {{ " + " ".join(soup)
+    try:
+        parsed = parse_query(text)
+    except ParseError:
+        return
+    assert parsed.patterns
 
 
 def _outcome(text, intern):

@@ -18,14 +18,21 @@ from isummary.query_graph import (
 )
 from isummary.rng import XorShift64Star
 from isummary.terms import RDF_TYPE, VARIABLE, Term, TriplePattern, iri, literal, variable
+from isummary.workload import concrete_node_terms
+
+from conftest import collapsed_concrete_nodes, collapsed_nodes
 
 
 def graph_of(text):
     return build_graph(parse_query(text))
 
 
-def concrete_nodes(graph):
-    return {t for t in graph.nodes if t.concrete}
+def check_nodes(text, expected):
+    """The collapsed graph of ``text`` has the nodes ``expected`` (by the
+    oracle), and its concrete ones are the query's node terms."""
+    query = parse_query(text)
+    assert collapsed_nodes(query) == expected
+    assert concrete_node_terms(query) == {t for t in expected if t.concrete}
 
 
 Q3 = 'SELECT ?x ?y WHERE {?x a Person. ?y a Organization. ?y affiliatedOf ?x. ?y orgName "FORTH".}'
@@ -33,7 +40,7 @@ Q3 = 'SELECT ?x ?y WHERE {?x a Person. ?y a Organization. ?y affiliatedOf ?x. ?y
 
 def test_q3_type_collapse():
     g = graph_of(Q3)
-    assert g.nodes == {iri("Person"), iri("Organization"), literal("FORTH")}
+    check_nodes(Q3, {iri("Person"), iri("Organization"), literal("FORTH")})
     assert set(g.edges) == {
         TriplePattern(iri("Organization"), iri("affiliatedOf"), iri("Person")),
         TriplePattern(iri("Organization"), iri("orgName"), literal("FORTH")),
@@ -41,23 +48,27 @@ def test_q3_type_collapse():
 
 
 def test_single_pattern_collapses_to_lone_node():
-    g = graph_of("SELECT ?y WHERE {?y a Organization.}")
-    assert g.nodes == {iri("Organization")}
-    assert g.edges == ()
+    text = "SELECT ?y WHERE {?y a Organization.}"
+    check_nodes(text, {iri("Organization")})
+    assert graph_of(text).edges == ()
 
 
 def test_no_collapse_without_type_patterns():
-    g = graph_of("SELECT * WHERE {?x p ?y. ?y q ?z.}")
-    assert g.nodes == {variable("x"), variable("y"), variable("z")}
-    assert set(g.edges) == {
+    text = "SELECT * WHERE {?x p ?y. ?y q ?z.}"
+    check_nodes(text, {variable("x"), variable("y"), variable("z")})
+    query = parse_query(text)
+    # with nothing to collapse the edges are the query's own patterns tuple
+    assert build_graph(query).edges is query.patterns
+    assert set(query.patterns) == {
         TriplePattern(variable("x"), iri("p"), variable("y")),
         TriplePattern(variable("y"), iri("q"), variable("z")),
     }
 
 
 def test_multi_typed_variable_keeps_least_class():
-    g = graph_of("SELECT ?x WHERE {?x a Zebra. ?x a Animal. ?x eats Grass.}")
-    assert iri("Animal") in g.nodes and iri("Zebra") in g.nodes
+    text = "SELECT ?x WHERE {?x a Zebra. ?x a Animal. ?x eats Grass.}"
+    check_nodes(text, {iri("Animal"), iri("Zebra"), iri("Grass")})
+    g = graph_of(text)
     assert TriplePattern(iri("Animal"), RDF_TYPE, iri("Zebra")) in g.edges
     assert TriplePattern(iri("Animal"), iri("eats"), iri("Grass")) in g.edges
 
@@ -101,23 +112,24 @@ def test_collapse_idempotent():
 def test_build_graph_order_invariant():
     base = parse_query(Q3)
     for perm in itertools.permutations(base.patterns):
-        g = build_graph(parse_query(
+        query = parse_query(
             "SELECT * WHERE { " + " . ".join(p.to_sparql() for p in perm) + " }"
-        ))
-        assert g.nodes == graph_of(Q3).nodes
-        assert set(g.edges) == set(graph_of(Q3).edges)
+        )
+        assert concrete_node_terms(query) == concrete_node_terms(base)
+        assert collapsed_nodes(query) == collapsed_nodes(base)
+        assert set(build_graph(query).edges) == set(graph_of(Q3).edges)
 
 
 def test_concrete_counts_q3():
-    g = graph_of(Q3)
-    assert concrete_nodes(g) == {iri("Person"), iri("Organization"), literal("FORTH")}
-    assert len(concrete_edges(g)) == 2
+    assert concrete_node_terms(parse_query(Q3)) == {
+        iri("Person"), iri("Organization"), literal("FORTH")}
+    assert len(concrete_edges(graph_of(Q3))) == 2
 
 
 def test_concrete_counts_variables_only():
-    g = graph_of("SELECT * WHERE {?x p ?y}")
-    assert concrete_nodes(g) == set()
-    assert len(concrete_edges(g)) == 1
+    text = "SELECT * WHERE {?x p ?y}"
+    assert concrete_node_terms(parse_query(text)) == set()
+    assert len(concrete_edges(graph_of(text))) == 1
 
 
 def test_variable_predicate_edge_not_concrete():
@@ -214,7 +226,8 @@ def test_shortest_path_length_matches_networkx_oracle():
     checked = 0
     for _ in range(300):
         g = _random_query_graph(rng, 3 + rng.randrange(6), 2 + rng.randrange(8))
-        nodes = sorted(g.nodes, key=Term.sort_key)
+        # no type patterns here, so every node is an edge end
+        nodes = sorted({t for e in g.edges for t in (e.subject, e.object)}, key=Term.sort_key)
         if len(nodes) < 2:
             continue
         nxg = nx.MultiGraph()
@@ -306,9 +319,9 @@ _small_queries = st.lists(
 @settings(max_examples=400, deadline=None)
 @given(tokens=_small_queries)
 def test_shortest_path_matches_enumerator_oracle(tokens):
-    graph = build_graph(parse_query(
-        "SELECT * WHERE { " + " . ".join(" ".join(t) for t in tokens) + " }"))
-    concrete = sorted((t for t in graph.nodes if t.concrete), key=Term.sort_key)
+    query = parse_query("SELECT * WHERE { " + " . ".join(" ".join(t) for t in tokens) + " }")
+    graph = build_graph(query)
+    concrete = sorted(collapsed_concrete_nodes(query), key=Term.sort_key)
     absent = iri("Absent")
     for x, y in itertools.permutations(concrete + [absent], 2):
         assert shortest_path(graph, x, y) == oracle_shortest_path(graph, x, y), (x, y)

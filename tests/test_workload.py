@@ -8,7 +8,7 @@ from isummary.parser import parse_query
 from isummary.terms import iri, literal
 from isummary.workload import EmptyWorkload, IoError, WorkloadStore, load_workload
 
-from conftest import UNIVERSITY_QUERIES, store_from_texts
+from conftest import UNIVERSITY_QUERIES, collapsed_concrete_nodes, store_from_texts
 
 
 def test_load_raw_lines(university_file):
@@ -121,6 +121,18 @@ def test_empty_prefix_iri_record_counted_as_rejected(tmp_path):
     path = tmp_path / "log.txt"
     path.write_text(
         "PREFIX e: <> SELECT * WHERE { e: <p> <o> }\n"
+        "SELECT ?x WHERE {?x a Person}\n",
+        encoding="utf-8",
+    )
+    store = load_workload(path, format="raw-lines")
+    assert len(store) == 1
+    assert store.rejected_count == 1
+
+
+def test_malformed_iri_record_counted_as_rejected(tmp_path):
+    path = tmp_path / "log.txt"
+    path.write_text(
+        "SELECT * WHERE { <http://a\u00a0b> <p> ?x }\n"
         "SELECT ?x WHERE {?x a Person}\n",
         encoding="utf-8",
     )
@@ -363,10 +375,14 @@ def test_subset_view_shares_root_index_and_memos(university_store):
 @example(texts=["SELECT * WHERE {?x a B . ?x a A . ?x p ?y . ?y a C . ?y a A}"])
 @example(texts=["SELECT * WHERE {?x a C . ?x a B . ?x a ?y . ?y a A}"])
 def test_node_terms_match_collapsed_graph(texts):
-    # node terms skip type collapse; the collapsed graph must have the same concrete nodes
+    # node terms skip type collapse; the collapsed graph must have the same
+    # concrete nodes (by the oracle), and its edges end at no other
     store = store_from_texts(texts)
     for qid in store.ids():
-        assert store.node_terms(qid) == {t for t in store.graph(qid).nodes if t.concrete}
+        nodes = store.node_terms(qid)
+        assert nodes == collapsed_concrete_nodes(store.query(qid))
+        ends = {t for e in store.graph(qid).edges for t in (e.subject, e.object)}
+        assert {t for t in ends if t.concrete} <= nodes
 
 
 # -- term table ----------------------------------------------------------------
