@@ -8,12 +8,11 @@ from .coverage import (
     coverage,
     evaluate,
 )
-from .parser import ParsedQuery, ParseError, canonical_text, parse_query, parse_term
+from .parser import ParsedQuery, ParseError, parse_query, parse_term
 from .query_graph import (
     PathSignature,
     QueryGraph,
     build_graph,
-    concrete_edges,
     shortest_path,
 )
 from .steiner import (
@@ -38,7 +37,7 @@ from .summarizer import (
     select_top_nodes,
     summarize,
 )
-from .synth import SyntheticSpec, generate_synthetic
+from .synth import SyntheticSpec
 from .terms import RDF_TYPE, Term, TriplePattern, blank, iri, literal, variable
 from .workload import EmptyWorkload, IoError, WorkloadStore, load_workload
 

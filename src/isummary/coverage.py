@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .query_graph import concrete_edges
 from .rng import XorShift64Star
 from .summarizer import (
     NoRelevantQueries,
@@ -99,7 +98,7 @@ def coverage(
     per_query = []
     for qid in test_store.filter(seeds):
         nodes = test_store.node_terms(qid)
-        edges = concrete_edges(test_store.graph(qid))
+        edges = [e for e in test_store.graph(qid).edges if e.predicate.concrete]
         node_fraction = (
             sum(1 for n in nodes if n in universe) / len(nodes) if nodes else 0.0
         )

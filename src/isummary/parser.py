@@ -11,7 +11,8 @@ base prefix.
 One regex cuts a text into ``(kind, value, start)`` tokens, closed by an END
 token at the end of the text, and a recursive descent parser walks them.
 Loading a log passes one intern table to every ``parse_query`` call, so each
-distinct term, triple pattern and record text is built or parsed once.
+distinct term and triple pattern is built once and each distinct accepted
+record text is parsed once.
 """
 
 from __future__ import annotations
@@ -418,27 +419,21 @@ def parse_query(
     ``intern`` is one table per log, parsed with one ``base_prefix``.  It maps
     ``(kind, lexical, datatype_or_lang)`` to the :class:`Term` built for it,
     ``(subject, predicate, object)`` to the :class:`TriplePattern` built for
-    it, and each record text to its patterns tuple or its rejection.  So each
+    it, and each accepted record text to its patterns tuple.  So each
     distinct term and triple is built and validated once and is one shared
-    object across the log's queries, and each distinct text is parsed once:
-    a repeated text gets the same patterns tuple, or raises the same
-    rejection again.
+    object across the log's queries, and each distinct accepted text is
+    parsed once: a repeated text gets the same patterns tuple.  The table
+    holds no rejection, so a rejected text is parsed again at each
+    occurrence.
 
     Raises :class:`ParseError` (with a byte offset) for anything outside the
     supported subset, including property paths and subqueries.
     """
     table = {} if intern is None else intern
-    known = table.get(text)
-    if known is None:
-        try:
-            known = _Parser(text, base_prefix, table).parse()
-        except ParseError as exc:
-            # a copy without the traceback, which would pin the parser and its tokens
-            known = ParseError(exc.reason, exc.offset)
-        table[text] = known
-    if isinstance(known, ParseError):
-        raise ParseError(known.reason, known.offset)
-    return ParsedQuery(query_id, known, source_line)
+    patterns = table.get(text)
+    if patterns is None:
+        patterns = table[text] = _Parser(text, base_prefix, table).parse()
+    return ParsedQuery(query_id, patterns, source_line)
 
 
 def parse_term(text: str, base_prefix: str | None = None) -> Term:
@@ -448,9 +443,3 @@ def parse_term(text: str, base_prefix: str | None = None) -> Term:
     if parser._peek()[0] != END:
         parser._error("trailing content after term")
     return term
-
-
-def canonical_text(query: ParsedQuery) -> str:
-    """Render a query back to canonical text; re-parsing yields equal patterns."""
-    body = " . ".join(p.to_sparql() for p in query.patterns)
-    return f"SELECT * WHERE {{ {body} }}"

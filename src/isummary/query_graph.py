@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .parser import ParsedQuery
 from .terms import RDF_TYPE, IRI, VARIABLE, Term, TriplePattern, interned
@@ -130,11 +130,6 @@ def build_graph(query: ParsedQuery, intern: dict | None = None) -> QueryGraph:
     return QueryGraph(edges, table)
 
 
-def concrete_edges(graph: QueryGraph) -> list[TriplePattern]:
-    """Edges with a concrete predicate; variable endpoints are permitted."""
-    return [e for e in graph.edges if e.predicate.concrete]
-
-
 def _bfs_distances(graph: QueryGraph, start: Term) -> dict[Term, int]:
     dist = {start: 0}
     queue = deque([start])
@@ -152,8 +147,9 @@ def _canonical_variable(index: int) -> Term:
     return Term(VARIABLE, f"v{index}")
 
 
-def _renamed(steps: tuple[Step, ...]) -> tuple[Step, ...]:
-    """``steps`` with each variable renamed by its first position (v0, v1, ...)."""
+def position_renamer() -> Callable[[Term], Term]:
+    """A fresh renaming: the returned function maps each variable to v0, v1,
+    ... in the order of its first call with it, and any other term to itself."""
     renames: dict[Term, Term] = {}
 
     def canon(term: Term) -> Term:
@@ -163,7 +159,7 @@ def _renamed(steps: tuple[Step, ...]) -> tuple[Step, ...]:
             renames[term] = _canonical_variable(len(renames))
         return renames[term]
 
-    return tuple(Step(canon(s.predicate), s.direction, canon(s.waypoint)) for s in steps)
+    return canon
 
 
 def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
@@ -187,7 +183,8 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
     while stack:
         node, steps = stack.pop()
         if node == end:
-            steps = _renamed(steps)
+            canon = position_renamer()
+            steps = tuple(Step(canon(s.predicate), s.direction, canon(s.waypoint)) for s in steps)
             key = _steps_key(steps)
             if best_key is None or key < best_key:
                 best, best_key = steps, key

@@ -222,10 +222,6 @@ def chins(instance: SteinerInstance, costs) -> Tree:
     return Tree(tuple(sorted(tree_nodes)), tuple(tree_edges))
 
 
-def tree_weight(graph: WeightedGraph, tree: Tree) -> float:
-    return sum(graph.weights[v] for v in tree.nodes)
-
-
 def tree_cost(costs, tree: Tree) -> float:
     return sum(costs[v] for v in tree.nodes)
 

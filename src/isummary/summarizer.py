@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .query_graph import FORWARD, PathSignature, shortest_path
+from .query_graph import FORWARD, PathSignature, position_renamer, shortest_path
 from .rng import XorShift64Star
 from .terms import BLANK, LITERAL, VARIABLE, Term, TriplePattern
 from .workload import WorkloadStore
@@ -256,16 +256,9 @@ def _relevant_ids(store: WorkloadStore, seeds: Sequence[Term]):
     return ids, warnings
 
 
-def _append_unique(triples, seen, new_triples):
-    for triple in new_triples:
-        if triple not in seen:
-            seen.add(triple)
-            triples.append(triple)
-
-
 def _greedy_summary(store, request, relevant, warnings):
-    triples: list[TriplePattern] = []
-    seen: set[TriplePattern] = set()
+    # an ordered set: each triple once, in first-seen order
+    triples: dict[TriplePattern, None] = {}
     blanks = itertools.count()
     nodes: list[tuple[Term, int]] = [(seed, len(relevant)) for seed in request.seeds]
     visited: list[Term] = [request.seeds[0]]
@@ -280,7 +273,7 @@ def _greedy_summary(store, request, relevant, warnings):
             ))
         else:
             resolved, extra = resolve_variables(signature, store, blanks)
-            _append_unique(triples, seen, resolved)
+            triples.update(dict.fromkeys(resolved))
             warnings.extend(extra)
         visited.append(term)
 
@@ -301,12 +294,9 @@ def _greedy_summary(store, request, relevant, warnings):
 
 
 def _name_blind_key(edge: TriplePattern) -> tuple:
-    """``edge.sort_key()`` with each variable numbered by its first occurrence."""
-    names: dict[Term, int] = {}
-    return tuple([
-        (VARIABLE, names.setdefault(t, len(names)), "") if t.kind == VARIABLE else t.sort_key()
-        for t in edge
-    ])
+    """``edge.sort_key()`` with each variable renamed by its first position."""
+    canon = position_renamer()
+    return tuple([canon(t).sort_key() for t in edge])
 
 
 def _random_summary(store, request, relevant, warnings):
@@ -335,8 +325,7 @@ def _random_summary(store, request, relevant, warnings):
                 if edge.object in wanted:
                     incident[edge.object].add(edge)
 
-    triples: list[TriplePattern] = []
-    seen: set[TriplePattern] = set()
+    triples: dict[TriplePattern, None] = {}
     blanks = itertools.count()
     for term, _ in selected:
         # edges equal up to variable renaming are one candidate, ordered by a
@@ -372,8 +361,8 @@ def _random_summary(store, request, relevant, warnings):
                 ))
             return substitutions[t]
 
-        _append_unique(triples, seen, [TriplePattern(
-            ground(edge.subject, "subject"), edge.predicate, ground(edge.object, "object"))])
+        triples[TriplePattern(
+            ground(edge.subject, "subject"), edge.predicate, ground(edge.object, "object"))] = None
     return triples, nodes
 
 

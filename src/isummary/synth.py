@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 from .rng import XorShift64Star
@@ -123,10 +122,3 @@ def iter_queries(spec: SyntheticSpec) -> Iterator[str]:
 def write_queries(spec: SyntheticSpec, fh) -> None:
     """Write the workload to a text handle, one raw-lines query per line."""
     fh.writelines(f"{query}\n" for query in iter_queries(spec))
-
-
-def generate_synthetic(spec: SyntheticSpec, path) -> int:
-    """Write a raw-lines workload file; returns the number of queries written."""
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        write_queries(spec, fh)
-    return spec.n_queries

@@ -109,10 +109,6 @@ def variable(name: str) -> Term:
     return Term(VARIABLE, name)
 
 
-def term_from_json(obj: dict) -> Term:
-    return Term(obj["kind"], obj["lexical"], obj.get("datatypeOrLang"))
-
-
 RDF_TYPE = Term(IRI, RDF_TYPE_IRI)
 
 

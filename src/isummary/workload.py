@@ -157,10 +157,12 @@ class WorkloadStore:
 
 
 def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Each LF-delimited line with one trailing CR cut (CRLF logs); a CR
+    elsewhere stays inside its record."""
     try:
-        with open(path, encoding="utf-8", errors="replace") as fh:
+        with open(path, encoding="utf-8", errors="replace", newline="\n") as fh:
             for line_no, line in enumerate(fh, start=1):
-                yield line_no, line.rstrip("\n")
+                yield line_no, line.removesuffix("\n").removesuffix("\r")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from isummary.parser import parse_query
+from isummary.synth import write_queries
 from isummary.workload import WorkloadStore
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -12,6 +13,12 @@ UNIVERSITY_FILE = FIXTURES / "university_workload.txt"
 UNIVERSITY_QUERIES = [
     line for line in UNIVERSITY_FILE.read_text(encoding="utf-8").splitlines() if line
 ]
+
+
+def generate_synthetic(spec, path):
+    """Write ``spec``'s workload to ``path`` as a raw-lines log."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_queries(spec, fh)
 
 
 def store_from_texts(texts):

@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from isummary.cli import main
-from isummary.synth import SyntheticSpec, generate_synthetic
+from isummary.synth import SyntheticSpec
 
-from conftest import UNIVERSITY_FILE
+from conftest import UNIVERSITY_FILE, generate_synthetic
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ from isummary.parser import (
     END,
     ParseError,
     _tokenize,
-    canonical_text,
     parse_query,
     parse_term,
 )
@@ -258,14 +257,15 @@ _objects = st.one_of(_iris, _blanks, _variables, _literals)
 _patterns = st.builds(TriplePattern, _subjects, _predicates, _objects)
 
 
+def canonical_text(patterns):
+    """The patterns as one query text, each in SPARQL surface syntax."""
+    return "SELECT * WHERE { " + " . ".join(p.to_sparql() for p in patterns) + " }"
+
+
 @settings(max_examples=200)
 @given(st.lists(_patterns, min_size=1, max_size=5))
 def test_canonical_round_trip(patterns):
-    from isummary.parser import ParsedQuery
-
-    original = ParsedQuery(0, tuple(patterns))
-    reparsed = parse_query(canonical_text(original))
-    assert reparsed.patterns == original.patterns
+    assert parse_query(canonical_text(patterns)).patterns == tuple(patterns)
 
 
 # -- fuzz property --------------------------------------------------------------
@@ -348,6 +348,8 @@ def test_intern_table_parses_each_text_as_without_one(texts):
         if isinstance(shared, tuple) and shared and isinstance(shared[0], TriplePattern):
             assert shared is _outcome(text, table)
             assert all(p is table[tuple(p)] for p in shared)
+    # a rejected text is parsed again at each occurrence: the table keeps no rejection
+    assert not any(isinstance(v, ParseError) for v in table.values())
 
 
 def test_long_whitespace_runs_tokenize_in_linear_time():

@@ -13,7 +13,6 @@ from isummary.query_graph import (
     PathSignature,
     Step,
     build_graph,
-    concrete_edges,
     shortest_path,
 )
 from isummary.rng import XorShift64Star
@@ -25,6 +24,11 @@ from conftest import collapsed_concrete_nodes, collapsed_nodes
 
 def graph_of(text):
     return build_graph(parse_query(text))
+
+
+def concrete_edges(graph):
+    """The edges coverage scores: those with a concrete predicate."""
+    return [e for e in graph.edges if e.predicate.concrete]
 
 
 def check_nodes(text, expected):

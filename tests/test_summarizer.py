@@ -15,6 +15,7 @@ from isummary.summarizer import (
     InvalidRequest,
     NoRelevantQueries,
     SummaryRequest,
+    _name_blind_key,
     link,
     node_frequencies,
     resolve_variables,
@@ -23,11 +24,11 @@ from isummary.summarizer import (
     to_json,
     to_ntriples,
 )
-from isummary.synth import SyntheticSpec, generate_synthetic
+from isummary.synth import SyntheticSpec
 from isummary.terms import RDF_TYPE, Term, TriplePattern, blank, iri, literal, variable
 from isummary.workload import load_workload
 
-from conftest import UNIVERSITY_QUERIES, store_from_texts
+from conftest import UNIVERSITY_QUERIES, generate_synthetic, store_from_texts
 
 PERSON = iri("Person")
 ORGANIZATION = iri("Organization")
@@ -491,6 +492,44 @@ def test_every_triple_term_is_ledgered_or_flagged():
             for term in (triple.subject, triple.object):
                 assert not term.concrete or term in ledger or term in flagged
             assert triple.predicate in workload_predicates
+
+
+def _int_numbered_key(edge):
+    """Oracle: the random baseline's edge key as first written, each variable
+    numbered 0, 1, 2 by its first occurrence in the edge."""
+    names = {}
+    return tuple(
+        ("variable", names.setdefault(t, len(names)), "") if t.kind == "variable" else t.sort_key()
+        for t in edge
+    )
+
+
+_key_variables = st.sampled_from([variable(n) for n in ("x", "y", "z")])
+_key_iris = st.sampled_from([iri("A"), iri("B"), iri("v0")])
+_key_blanks = st.sampled_from([blank("A"), blank("v1")])
+_key_literals = st.sampled_from([literal("A"), literal("v0"), literal("1", "@en")])
+_key_edges = st.builds(
+    TriplePattern,
+    st.one_of(_key_iris, _key_blanks, _key_variables),
+    st.one_of(_key_iris, _key_variables),
+    st.one_of(_key_iris, _key_blanks, _key_literals, _key_variables),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_key_edges, min_size=1, max_size=8))
+def test_name_blind_key_orders_and_groups_as_int_numbering(edges):
+    new = [_name_blind_key(e) for e in edges]
+    old = [_int_numbered_key(e) for e in edges]
+    for i, (a_new, a_old) in enumerate(zip(new, old)):
+        # the shared renamer writes the oracle's number n as the variable vn
+        assert a_new == tuple(
+            (k[0], f"v{k[1]}", k[2]) if k[0] == "variable" else k for k in a_old)
+        for b_new, b_old in zip(new[i:], old[i:]):
+            assert (a_new == b_new) == (a_old == b_old)
+            assert (a_new < b_new) == (a_old < b_old)
+    assert sorted(range(len(edges)), key=new.__getitem__) == sorted(
+        range(len(edges)), key=old.__getitem__)
 
 
 def test_random_strategy_grounds_variables(university_store):

@@ -5,8 +5,10 @@ import pytest
 from scipy import stats
 
 from isummary.parser import parse_query
-from isummary.synth import SyntheticSpec, ZipfSampler, generate_synthetic, iter_queries
+from isummary.synth import SyntheticSpec, ZipfSampler, iter_queries
 from isummary.rng import XorShift64Star
+
+from conftest import generate_synthetic
 
 
 def test_spec_validation():
@@ -80,9 +82,10 @@ def test_zipf_sampler_distribution():
 def test_generation_deterministic(tmp_path):
     spec = SyntheticSpec(n_queries=300, classes=10, predicates=20, instances=100, rng_seed=9)
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    assert generate_synthetic(spec, a) == 300
-    assert generate_synthetic(spec, b) == 300
+    generate_synthetic(spec, a)
+    generate_synthetic(spec, b)
     assert a.read_bytes() == b.read_bytes()
+    assert len(a.read_text(encoding="utf-8").splitlines()) == 300
 
 
 def test_loadable_as_workload(tmp_path):

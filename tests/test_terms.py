@@ -9,7 +9,6 @@ from isummary.terms import (
     blank,
     iri,
     literal,
-    term_from_json,
     variable,
 )
 
@@ -71,7 +70,8 @@ def test_ntriples_rejects_variables():
 
 def test_json_round_trip():
     for term in (iri("x"), literal("v", "@en"), literal("5", "http://dt"), blank("b")):
-        assert term_from_json(term.to_json()) == term
+        obj = term.to_json()
+        assert Term(obj["kind"], obj["lexical"], obj["datatypeOrLang"]) == term
 
 
 def test_pattern_membership():

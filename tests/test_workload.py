@@ -223,6 +223,76 @@ def test_tsv_column_flag_validation(tmp_path, university_file):
         load_workload(university_file, format="tsv")
 
 
+def test_lone_cr_stays_inside_its_record(tmp_path):
+    path = tmp_path / "log.txt"
+    path.write_bytes(
+        b"SELECT * WHERE { ?s <p> ?o .\r ?o <q> <B> }\n"
+        b"SELECT * WHERE { ?a <p> <C> }\r\n"
+    )
+    store = load_workload(path, format="raw-lines")
+    assert [q.source_line for q in store.queries] == [1, 2]
+    assert store.rejected_count == 0
+    assert len(store.query(0).patterns) == 2
+
+
+def test_crlf_log_loads_as_lf_log(tmp_path):
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(_REPEATS_LOG.encode("utf-8"))
+    crlf.write_bytes(_REPEATS_LOG.replace("\n", "\r\n").encode("utf-8"))
+    a, b = load_workload(lf, format="raw-lines"), load_workload(crlf, format="raw-lines")
+    assert [(q.source_line, q.patterns) for q in b.queries] == [
+        (q.source_line, q.patterns) for q in a.queries]
+    assert b.rejected_count == a.rejected_count == 2
+
+
+# record texts by outcome; a raw CR sits inside some, where it is whitespace
+_CR_RECORDS = {
+    "query": ("SELECT * WHERE { ?s <p> ?o .\r ?o <q> <B> }", "SELECT * WHERE {\r?a <p> <C> }",
+              "SELECT ?x WHERE { ?x a Person }"),
+    "rejected": ("not sparql", "SELECT * WHERE { ?s\r", "\rbroken"),
+    "blank": ("", " ", "\r", " \r "),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    format=st.sampled_from(("raw-lines", "urlencoded-lines", "tsv")),
+    records=st.lists(
+        st.tuples(
+            st.sampled_from([(o, t) for o, texts in _CR_RECORDS.items() for t in texts]),
+            st.booleans(),
+        ),
+        min_size=1, max_size=8,
+    ),
+    final_newline=st.booleans(),
+)
+def test_records_are_the_lf_lines_of_the_file(tmp_path_factory, format, records, final_newline):
+    """Queries plus rejected records are the non-blank LF-delimited lines,
+    and each query's source line is its 1-based LF line number, whatever CRs
+    the lines hold; a line loses one trailing CR (CRLF logs)."""
+    lines = ["id\tquery"] if format == "tsv" else []
+    expected_lines, expected_rejected = [], 0
+    for (outcome, text), crlf in records:
+        if format == "urlencoded-lines":
+            text = "\r".join(quote(chunk) for chunk in text.split("\r"))
+        elif format == "tsv" and outcome != "blank":
+            text = f"{len(lines)}\t{text}"
+        lines.append(text + ("\r" if crlf else ""))
+        if outcome == "query":
+            expected_lines.append(len(lines))
+        expected_rejected += outcome == "rejected"
+    path = tmp_path_factory.mktemp("cr") / "log"
+    path.write_bytes(("\n".join(lines) + ("\n" if final_newline else "")).encode("utf-8"))
+    tsv_column = 1 if format == "tsv" else None
+    if not expected_lines:
+        with pytest.raises(EmptyWorkload):
+            load_workload(path, format=format, tsv_column=tsv_column)
+        return
+    store = load_workload(path, format=format, tsv_column=tsv_column)
+    assert [q.source_line for q in store.queries] == expected_lines
+    assert store.rejected_count == expected_rejected
+
+
 def test_deterministic_reload(university_file):
     a = load_workload(university_file, format="raw-lines")
     b = load_workload(university_file, format="raw-lines")
