@@ -216,6 +216,14 @@ def test_tsv_short_first_row_is_a_header(tmp_path):
     assert store.rejected_count == 0
 
 
+def test_tsv_header_is_the_first_non_blank_row(tmp_path):
+    path = tmp_path / "log.tsv"
+    path.write_text("\nid\tquery\n1\tSELECT ?x WHERE {?x a Person}\n", encoding="utf-8")
+    store = load_workload(path, format="tsv", tsv_column=1)
+    assert len(store) == 1
+    assert store.rejected_count == 0
+
+
 def test_tsv_column_flag_validation(tmp_path, university_file):
     with pytest.raises(ValueError):
         load_workload(university_file, format="raw-lines", tsv_column=1)
