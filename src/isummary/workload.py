@@ -218,8 +218,8 @@ def load_workload(
     than aborting the load; past the first ``WARNED_REJECTIONS`` they are
     logged at DEBUG and one closing WARNING gives the total.  For ``tsv``
     input a non-blank row with no query in its query column is a rejected
-    record, and the first row is treated as a header and skipped silently if
-    it fails to parse or has no query.
+    record, and the first non-blank row is treated as a header and skipped
+    silently if it fails to parse or has no query.
     """
     check_format(format, tsv_column)
     path = Path(path)
@@ -236,7 +236,9 @@ def load_workload(
         reason = None
         if text is None:
             reason = f"row has no query in column {tsv_column}"
-        elif text.strip():
+        elif not text.strip():
+            continue  # a blank line is no record, so not the header either
+        else:
             try:
                 queries.append(
                     parse_query(text, query_id=len(queries), source_line=line_no,

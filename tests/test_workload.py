@@ -243,6 +243,15 @@ def test_lone_cr_stays_inside_its_record(tmp_path):
     assert len(store.query(0).patterns) == 2
 
 
+def test_invalid_utf8_inside_an_iri_becomes_replacement_characters(tmp_path):
+    path = tmp_path / "log.txt"
+    path.write_bytes(b"SELECT * WHERE { ?s <p> <http://ex.org/a\xff\xfeb> }\n")
+    store = load_workload(path, format="raw-lines")
+    assert len(store) == 1
+    assert store.rejected_count == 0
+    assert store.query(0).patterns[0].object == iri("http://ex.org/a\ufffd\ufffdb")
+
+
 def test_crlf_log_loads_as_lf_log(tmp_path):
     lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
     lf.write_bytes(_REPEATS_LOG.encode("utf-8"))
