@@ -9,7 +9,9 @@ A hop along an edge, either way, is a ``Step``.  The graph keeps each node's
 distinct hops, so parallel edges with the same predicate and orientation are
 walked once.  ``shortest_path`` walks hops from the endpoint with the lesser
 sort key, and a path's signature is its walked steps with the variables
-renamed by position.
+renamed by position.  Its breadth-first search from the other endpoint stops
+at the layer that reaches the walk's start, and the sort keys that rank
+equal-length paths are built only once a second such path turns up.
 """
 
 from __future__ import annotations
@@ -130,15 +132,23 @@ def build_graph(query: ParsedQuery, intern: dict | None = None) -> QueryGraph:
     return QueryGraph(edges, table)
 
 
-def _bfs_distances(graph: QueryGraph, start: Term) -> dict[Term, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for step in graph._hops.get(node, ()):
-            if step.waypoint not in dist:
-                dist[step.waypoint] = dist[node] + 1
-                queue.append(step.waypoint)
+def _bfs_distances(graph: QueryGraph, end: Term, start: Term) -> dict[Term, int]:
+    """Hop distances from ``end``, layer by layer, up to the layer that
+    reaches ``start``: every node nearer ``end`` than ``start`` has its
+    distance, and no node farther than ``start`` has one."""
+    hops = graph._hops
+    dist = {end: 0}
+    layer = [end]
+    depth = 0
+    while layer and start not in dist:
+        depth += 1
+        reached = []
+        for node in layer:
+            for step in hops.get(node, ()):
+                if step.waypoint not in dist:
+                    dist[step.waypoint] = depth
+                    reached.append(step.waypoint)
+        layer = reached
     return dist
 
 
@@ -165,16 +175,19 @@ def position_renamer() -> Callable[[Term], Term]:
 def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
     """Minimum-hop path between two concrete terms, as a canonical signature.
 
-    The path is walked from the endpoint with the lesser sort key.  Among
-    equal-length paths the lexicographically least signature wins.  Returns
-    None when either endpoint is absent or unreachable.
+    The path is walked from the endpoint with the lesser sort key, over the
+    distances of a breadth-first search from the other endpoint that stops at
+    the layer reaching the walk's start.  Among equal-length paths the
+    lexicographically least signature wins; its sort keys are built only once
+    a second path is found.  Returns None when either endpoint is absent or
+    unreachable.
     """
     if x == y:
         raise ValueError("path endpoints must differ")
     if not (x.concrete and y.concrete):
         raise ValueError("path endpoints must be concrete")
     start, end = (x, y) if x.sort_key() < y.sort_key() else (y, x)
-    dist = _bfs_distances(graph, end)
+    dist = _bfs_distances(graph, end, start)
     if start not in dist:
         return None
 
@@ -183,10 +196,20 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
     while stack:
         node, steps = stack.pop()
         if node == end:
+            # a step with no variable stays the graph's own Step
             canon = position_renamer()
-            steps = tuple(Step(canon(s.predicate), s.direction, canon(s.waypoint)) for s in steps)
+            steps = tuple(
+                s if s.predicate.kind != VARIABLE and s.waypoint.kind != VARIABLE
+                else Step(canon(s.predicate), s.direction, canon(s.waypoint))
+                for s in steps
+            )
+            if best is None:
+                best = steps
+                continue
+            if best_key is None:
+                best_key = _steps_key(best)
             key = _steps_key(steps)
-            if best_key is None or key < best_key:
+            if key < best_key:
                 best, best_key = steps, key
             continue
         remaining = dist[node] - 1

@@ -8,6 +8,7 @@ shortest query path, resolving leftover variables against the whole workload.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from collections import Counter
@@ -105,11 +106,20 @@ def select_top_nodes(
     count: int,
     exclude: Iterable[Term] = (),
 ) -> list[tuple[Term, int]]:
-    """Top nodes by (frequency desc, term asc); may return fewer than asked."""
+    """Top nodes by (frequency desc, term asc); may return fewer than asked.
+
+    Only the terms whose frequency reaches the count-th largest are sorted.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
     freq = node_frequencies(store, relevant_ids, exclude)
-    ranked = sorted(freq.items(), key=lambda item: (-item[1], item[0].sort_key()))
+    if count == 0 or not freq:
+        return []
+    cut = heapq.nlargest(count, freq.values())[-1]
+    ranked = sorted(
+        ((term, n) for term, n in freq.items() if n >= cut),
+        key=lambda item: (-item[1], item[0].sort_key()),
+    )
     return ranked[:count]
 
 
@@ -123,13 +133,14 @@ def link(
 
     Path frequencies accumulate across all visited partners and all queries;
     ties break by shorter length, then least signature.  Returns None when no
-    relevant query connects ``x`` to the summary.
+    relevant query connects ``x`` to the summary.  ``relevant_ids`` given as
+    a set is used as it is.
     """
     if not visited:
         raise ValueError("visited set must be non-empty")
     if x in visited:
         raise ValueError("node to link is already in the summary")
-    relevant = set(relevant_ids)
+    relevant = relevant_ids if isinstance(relevant_ids, (set, frozenset)) else set(relevant_ids)
     tally: Counter = Counter()
     for y in visited:
         for qid in store.filter((x, y)):
@@ -262,9 +273,10 @@ def _greedy_summary(store, request, relevant, warnings):
     blanks = itertools.count()
     nodes: list[tuple[Term, int]] = [(seed, len(relevant)) for seed in request.seeds]
     visited: list[Term] = [request.seeds[0]]
+    relevant_set = set(relevant)
 
     def attach(term):
-        signature = link(store, relevant, term, visited)
+        signature = link(store, relevant_set, term, visited)
         if signature is None:
             warnings.append(SummaryWarning(
                 ISOLATED_NODE,

@@ -2,7 +2,7 @@ import hashlib
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isummary.query_graph import FORWARD
@@ -40,6 +40,28 @@ def warning_kinds(summary):
     return {w.kind for w in summary.warnings}
 
 
+# -- small stores drawn by hypothesis ------------------------------------------
+
+# "p" is a predicate that also appears as a subject and an object
+_SLOT_SUBJECTS = ["A", "B", "p", "?x", "_:b"]
+_SLOT_PREDICATES = ["p", "q", "a", "?x", "?v"]
+_SLOT_OBJECTS = ["A", "B", "p", "?x", '"l"', "7"]
+_SLOT_ENDS = [iri("A"), iri("B"), iri("p"), blank("b"), literal("l"), literal("7"), variable("x")]
+
+_slot_queries = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(_SLOT_SUBJECTS), st.sampled_from(_SLOT_PREDICATES),
+                  st.sampled_from(_SLOT_OBJECTS)),
+        min_size=1, max_size=5,
+    ).map(lambda ps: "SELECT * WHERE {" + " . ".join(" ".join(p) for p in ps) + "}"),
+    min_size=1, max_size=6,
+)
+
+
+def _store_nodes(store):
+    return sorted(set().union(*map(store.node_terms, store.ids())), key=Term.sort_key)
+
+
 # -- select_top_nodes ---------------------------------------------------------
 
 def test_top_one_is_organization(university_store):
@@ -66,6 +88,23 @@ def test_top_nodes_counts_queries_not_occurrences(university_store):
     ])
     top = select_top_nodes(store, [0, 1], 1)
     assert top == [(PERSON, 2)]
+
+
+def _top_nodes_full_sort(freq, count):
+    """Oracle: rank every candidate, then cut."""
+    return sorted(freq.items(), key=lambda item: (-item[1], item[0].sort_key()))[:count]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), texts=_slot_queries)
+def test_select_top_nodes_matches_full_sort(data, texts):
+    store = store_from_texts(texts)
+    ids = data.draw(st.lists(st.sampled_from(store.ids()), unique=True))
+    exclude = data.draw(st.lists(st.sampled_from(_store_nodes(store) + _SLOT_ENDS), unique=True))
+    freq = node_frequencies(store, ids, exclude)
+    # every cut: 0, inside runs of tied counts, and at or past the candidate count
+    for count in range(len(freq) + 2):
+        assert select_top_nodes(store, ids, count, exclude) == _top_nodes_full_sort(freq, count)
 
 
 # -- link ----------------------------------------------------------------------
@@ -102,6 +141,19 @@ def test_link_frequency_beats_length():
     ])
     sig = link(store, [0, 1, 2, 3], iri("B"), [iri("A")])
     assert len(sig.steps) == 2  # the two-hop path occurs in three queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), texts=_slot_queries)
+def test_link_same_for_relevant_ids_as_list_or_set(data, texts):
+    store = store_from_texts(texts)
+    nodes = _store_nodes(store)
+    assume(len(nodes) >= 2)
+    ids = data.draw(st.lists(st.sampled_from(store.ids()), unique=True))
+    x = data.draw(st.sampled_from(nodes))
+    visited = data.draw(st.lists(st.sampled_from([t for t in nodes if t != x]),
+                                 min_size=1, unique=True))
+    assert link(store, ids, x, visited) == link(store, set(ids), x, visited)
 
 
 def test_link_precondition_checks(university_store):
@@ -144,22 +196,6 @@ def _predicate_counts(store, source, target):
             for term in seen:
                 counts[term] += 1
     return counts
-
-
-# "p" is a predicate that also appears as a subject and an object
-_SLOT_SUBJECTS = ["A", "B", "p", "?x", "_:b"]
-_SLOT_PREDICATES = ["p", "q", "a", "?x", "?v"]
-_SLOT_OBJECTS = ["A", "B", "p", "?x", '"l"', "7"]
-_SLOT_ENDS = [iri("A"), iri("B"), iri("p"), blank("b"), literal("l"), literal("7"), variable("x")]
-
-_slot_queries = st.lists(
-    st.lists(
-        st.tuples(st.sampled_from(_SLOT_SUBJECTS), st.sampled_from(_SLOT_PREDICATES),
-                  st.sampled_from(_SLOT_OBJECTS)),
-        min_size=1, max_size=5,
-    ).map(lambda ps: "SELECT * WHERE {" + " . ".join(" ".join(p) for p in ps) + "}"),
-    min_size=1, max_size=6,
-)
 
 
 @settings(max_examples=150, deadline=None)
@@ -236,9 +272,8 @@ def _node_frequencies_loop(store, relevant_ids, exclude=()):
 def test_node_frequencies_match_counting_loop(data, texts):
     store = store_from_texts(texts)
     ids = data.draw(st.lists(st.sampled_from(store.ids()), unique=True))
-    present = sorted(set().union(*map(store.node_terms, store.ids())), key=Term.sort_key)
     # excluded terms drawn from the store's own nodes and from terms it may lack
-    exclude = data.draw(st.lists(st.sampled_from(present + _SLOT_ENDS), unique=True))
+    exclude = data.draw(st.lists(st.sampled_from(_store_nodes(store) + _SLOT_ENDS), unique=True))
     assert node_frequencies(store, ids, exclude) == _node_frequencies_loop(store, ids, exclude)
     assert node_frequencies(store, ids) == _node_frequencies_loop(store, ids)
 
