@@ -10,13 +10,13 @@ distinct hops, so parallel edges with the same predicate and orientation are
 walked once.  ``shortest_path`` walks hops from the endpoint with the lesser
 sort key, and a path's signature is its walked steps with the variables
 renamed by position.  Its breadth-first search from the other endpoint stops
-at the layer that reaches the walk's start, and the sort keys that rank
-equal-length paths are built only once a second such path turns up.
+at the layer that reaches the walk's start.  Sort keys are built only when a
+second equal-length path turns up, and then only for the first step where it
+differs from the least path so far.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -36,8 +36,23 @@ class Step(NamedTuple):
     waypoint: Term
 
 
+def _step_key(step: Step) -> tuple:
+    return (step.predicate.sort_key(), step.direction, step.waypoint.sort_key())
+
+
 def _steps_key(steps) -> tuple:
-    return tuple((s.predicate.sort_key(), s.direction, s.waypoint.sort_key()) for s in steps)
+    return tuple(map(_step_key, steps))
+
+
+def _steps_less(a: tuple[Step, ...], b: tuple[Step, ...]) -> bool:
+    """``_steps_key(a) < _steps_key(b)`` for steps of equal length, with keys
+    built only where the two first differ."""
+    for s, t in zip(a, b):
+        if s != t:
+            s_key, t_key = _step_key(s), _step_key(t)
+            if s_key != t_key:
+                return s_key < t_key
+    return False
 
 
 class PathSignature(NamedTuple):
@@ -178,9 +193,9 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
     The path is walked from the endpoint with the lesser sort key, over the
     distances of a breadth-first search from the other endpoint that stops at
     the layer reaching the walk's start.  Among equal-length paths the
-    lexicographically least signature wins; its sort keys are built only once
-    a second path is found.  Returns None when either endpoint is absent or
-    unreachable.
+    lexicographically least signature wins; sort keys are built only for the
+    first step where a later path differs from the least one so far.  Returns
+    None when either endpoint is absent or unreachable.
     """
     if x == y:
         raise ValueError("path endpoints must differ")
@@ -191,7 +206,7 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
     if start not in dist:
         return None
 
-    best = best_key = None
+    best = None
     stack = [(start, ())]
     while stack:
         node, steps = stack.pop()
@@ -199,18 +214,12 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
             # a step with no variable stays the graph's own Step
             canon = position_renamer()
             steps = tuple(
-                s if s.predicate.kind != VARIABLE and s.waypoint.kind != VARIABLE
+                s if s.waypoint.kind != VARIABLE and s.predicate.kind != VARIABLE
                 else Step(canon(s.predicate), s.direction, canon(s.waypoint))
                 for s in steps
             )
-            if best is None:
+            if best is None or _steps_less(steps, best):
                 best = steps
-                continue
-            if best_key is None:
-                best_key = _steps_key(best)
-            key = _steps_key(steps)
-            if key < best_key:
-                best, best_key = steps, key
             continue
         remaining = dist[node] - 1
         for step in graph._hops[node]:

@@ -12,6 +12,8 @@ from isummary.query_graph import (
     FORWARD,
     PathSignature,
     Step,
+    _steps_key,
+    _steps_less,
     build_graph,
     shortest_path,
 )
@@ -329,6 +331,23 @@ def test_shortest_path_matches_enumerator_oracle(tokens):
     absent = iri("Absent")
     for x, y in itertools.permutations(concrete + [absent], 2):
         assert shortest_path(graph, x, y) == oracle_shortest_path(graph, x, y), (x, y)
+
+
+_step = st.builds(
+    Step,
+    st.sampled_from([iri("p"), iri("q"), variable("v0")]),
+    st.sampled_from([FORWARD, BACKWARD]),
+    st.sampled_from([iri("A"), literal("A"), variable("v0"), variable("v1")]),
+)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), length=st.integers(min_value=1, max_value=4))
+def test_steps_less_orders_as_steps_key(data, length):
+    a, b = (tuple(data.draw(st.lists(_step, min_size=length, max_size=length)))
+            for _ in range(2))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _steps_less(x, y) == (_steps_key(x) < _steps_key(y))
 
 
 def test_enumerator_oracle_on_parallel_collapsed_edges():
