@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from isummary import workload
 from isummary.cli import main
 from isummary.synth import SyntheticSpec
 
@@ -260,6 +261,23 @@ def test_unwritable_output_is_io_error(command, option, tmp_path, capsys):
     assert main(args + [option, str(target)]) == 3
     assert f"IoError: cannot write {target}: " in capsys.readouterr().err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/out.csv", "a-file/out.csv", "a-directory"])
+def test_evaluate_unwritable_out_fails_before_load(target, tmp_path, monkeypatch, capsys):
+    (tmp_path / "a-file").write_text("", encoding="utf-8")
+    (tmp_path / "a-directory").mkdir()
+    loads = []
+    real_load = workload.load_workload
+    monkeypatch.setattr(workload, "load_workload",
+                        lambda *args, **kwargs: loads.append(args) or real_load(*args, **kwargs))
+    out = tmp_path / target
+    code = main(["evaluate", "--log", str(UNIVERSITY_FILE), "--k", "2", "--folds", "1",
+                 "--sample-seeds", "1", "--out", str(out)])
+    assert code == 3
+    assert f"IoError: cannot write {out}: " in capsys.readouterr().err
+    assert loads == []
+    assert not (tmp_path / "missing").exists() and (tmp_path / "a-file").is_file()
 
 
 def test_reference_protocol_reports_mean_coverage_per_budget(tmp_path):
