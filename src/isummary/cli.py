@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -163,6 +164,21 @@ def _write(path, emit) -> None:
         raise workload.IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(path) -> None:
+    """Raise IoError when the file at ``path`` plainly cannot be written: it
+    is a directory, or its parent is no writable directory.  Creates nothing."""
+    target = Path(path)
+    if target.is_dir():
+        problem = "is a directory"
+    elif not target.parent.is_dir():
+        problem = f"not a directory: {target.parent}"
+    elif not os.access(target.parent, os.W_OK):
+        problem = f"directory not writable: {target.parent}"
+    else:
+        return
+    raise workload.IoError(f"cannot write {path}: {problem}")
+
+
 def _load(args) -> workload.WorkloadStore:
     return workload.load_workload(
         args.log, format=args.format, tsv_column=args.tsv_column,
@@ -201,6 +217,10 @@ def _cmd_evaluate(args) -> int:
                    f"need a non-empty list of distinct strategies, got {args.strategies!r}")
         print(f"InvalidRequest: {problem}", file=sys.stderr)
         return 2
+    if args.out:
+        # the CSV is written only once the protocol has run; an --out that
+        # cannot be written fails first, before the load and the protocol
+        _check_writable(args.out)
     store = _load(args)
     result = evaluate(store, args.config, args.k, strategies)
     for warning in result.warnings:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -146,10 +147,21 @@ def _derive_seed(rng_seed: int, fold: int, seed_term: Term, k: int, strategy: st
     return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "big")
 
 
-def _sample_seed_terms(train: WorkloadStore, test: WorkloadStore, count: int,
+def _seed_pool(counts: Counter, order: list[Term], test: WorkloadStore) -> list[Term]:
+    """The node terms of the fold's train part, in sort order.
+
+    ``counts`` are the node frequencies of the whole store that the train and
+    test parts split, and ``order`` is their terms in sort order.  A term
+    counts once per query, so it is a train node exactly when the store
+    counts it more often than the test part does.
+    """
+    in_test = node_frequencies(test, test.ids())
+    return [t for t in order if counts[t] > in_test[t]]
+
+
+def _sample_seed_terms(pool: Sequence[Term], test: WorkloadStore, count: int,
                        rng: XorShift64Star, warnings: list[str]) -> list[Term]:
-    """Seed terms that occur as nodes in training queries and in test queries."""
-    pool = sorted(node_frequencies(train, train.ids()), key=Term.sort_key)
+    """Seed terms drawn from ``pool`` (see ``_seed_pool``) that occur in test queries."""
     if not pool:
         return []
     chosen: list[Term] = []
@@ -186,6 +198,8 @@ def evaluate(
     if not k_values:
         raise ValueError("k_values must be non-empty")
     all_ids = [q.id for q in store.queries]
+    counts = node_frequencies(store, all_ids)
+    order = sorted(counts, key=Term.sort_key)
     rows: list[EvalRow] = []
     warnings: list[str] = []
     fold_means: list[float] = []
@@ -200,7 +214,8 @@ def evaluate(
             raise InsufficientWorkload(f"fold {fold} has an empty train or test part")
         train = store.subset(train_ids)
         test = store.subset(test_ids)
-        seeds = _sample_seed_terms(train, test, config.sample_seeds, rng, warnings)
+        seeds = _sample_seed_terms(_seed_pool(counts, order, test), test,
+                                   config.sample_seeds, rng, warnings)
 
         fold_rows: list[EvalRow] = []
         for seed in seeds:

@@ -151,7 +151,10 @@ def link(
                 tally[signature] += 1
     if not tally:
         return None
-    return min(tally, key=lambda s: (-tally[s], len(s.steps), s.sort_key()))
+    # sort keys only for the signatures tied at the top count
+    top = max(tally.values())
+    return min((s for s, n in tally.items() if n == top),
+               key=lambda s: (len(s.steps), s.sort_key()))
 
 
 def _most_frequent(counts: Counter) -> Term | None:

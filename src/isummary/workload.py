@@ -149,8 +149,9 @@ class WorkloadStore:
         """A view over the member queries with the given ids, in this store's order."""
         wanted = set(ids)
         view = copy.copy(self)
-        view.queries = [q for q in self.queries if q.id in wanted]
-        view._by_id = {q.id: q for q in view.queries}
+        # `_by_id` is always built in `queries` order, so one pass over it keeps that order
+        view._by_id = {qid: q for qid, q in self._by_id.items() if qid in wanted}
+        view.queries = list(view._by_id.values())
         view._slot_counts = {}
         view.rejected_count = 0
         return view

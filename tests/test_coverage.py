@@ -2,6 +2,8 @@ import hashlib
 import io
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isummary.coverage import (
     SEED_SAMPLING_SHORTFALL,
@@ -9,13 +11,14 @@ from isummary.coverage import (
     InsufficientWorkload,
     NO_MATCHING_TEST_QUERIES,
     _sample_seed_terms,
+    _seed_pool,
     coverage,
     evaluate,
     write_csv,
 )
 from isummary.query_graph import build_graph
 from isummary.rng import XorShift64Star
-from isummary.summarizer import Summary
+from isummary.summarizer import Summary, node_frequencies
 from isummary.synth import SyntheticSpec
 from isummary.terms import Term, TriplePattern, iri
 from isummary.workload import load_workload
@@ -27,6 +30,7 @@ from conftest import (
     generate_synthetic,
     store_from_texts,
 )
+from test_metamorphic import _OBJECTS, _PREDICATES, _SUBJECTS, _texts
 
 PERSON = iri("Person")
 ORGANIZATION = iri("Organization")
@@ -232,12 +236,42 @@ def test_sampled_seeds_occur_in_test_part():
         "SELECT ?x WHERE {?x a Person. ?x worksAt Lab}",
         "SELECT ?x WHERE {?x a Person}",
     ])
-    train, test = store.subset([0]), store.subset([1])
+    test = store.subset([1])
+    counts = node_frequencies(store, store.ids())
+    pool = _seed_pool(counts, sorted(counts, key=Term.sort_key), test)
     for rng_seed in range(20):
         warnings = []
-        chosen = _sample_seed_terms(train, test, 2, XorShift64Star(rng_seed), warnings)
+        chosen = _sample_seed_terms(pool, test, 2, XorShift64Star(rng_seed), warnings)
         assert chosen == [PERSON]
         assert warnings and warnings[0].startswith(SEED_SAMPLING_SHORTFALL)
+
+
+def _old_seed_pool(train):
+    """The seed pool as each fold once built it: the train part's node counts, sorted."""
+    return sorted(node_frequencies(train, train.ids()), key=Term.sort_key)
+
+
+# metamorphic logs, where "p" is also an object: a predicate in one query, a node in another
+_pool_logs = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from(_PREDICATES),
+                  st.sampled_from(_OBJECTS + ["p"])),
+        min_size=1, max_size=5,
+    ),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=_pool_logs, test_ids=st.sets(st.integers(min_value=0, max_value=7)))
+# p: a predicate in train, a node in test; C and _:b nodes of test only, A of train only
+@example(log=[[("A", "p", "B")], [("B", "q", "p"), ("_:b", "q", "C")]], test_ids={1})
+def test_seed_pool_is_the_train_parts_sorted_nodes(log, test_ids):
+    store = store_from_texts(_texts(log))
+    train, test = store.subset(set(store.ids()) - test_ids), store.subset(test_ids)
+    counts = node_frequencies(store, store.ids())
+    order = sorted(counts, key=Term.sort_key)
+    assert _seed_pool(counts, order, test) == _old_seed_pool(train)
 
 
 def test_evaluate_deterministic():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from isummary.query_graph import FORWARD
+from isummary.query_graph import FORWARD, shortest_path
 from isummary.summarizer import (
     BUDGET_SHORTFALL,
     ISOLATED_NODE,
@@ -154,6 +154,34 @@ def test_link_same_for_relevant_ids_as_list_or_set(data, texts):
     visited = data.draw(st.lists(st.sampled_from([t for t in nodes if t != x]),
                                  min_size=1, unique=True))
     assert link(store, ids, x, visited) == link(store, set(ids), x, visited)
+
+
+def _oracle_link(store, relevant_ids, x, visited):
+    """``link`` as it once chose: one full key per distinct tallied signature."""
+    relevant = set(relevant_ids)
+    tally = Counter()
+    for y in visited:
+        for qid in store.filter((x, y)):
+            if qid in relevant:
+                signature = shortest_path(store.graph(qid), x, y)
+                if signature is not None:
+                    tally[signature] += 1
+    if not tally:
+        return None
+    return min(tally, key=lambda s: (-tally[s], len(s.steps), s.sort_key()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), texts=_slot_queries)
+def test_link_matches_full_min_oracle(data, texts):
+    store = store_from_texts(texts)
+    nodes = _store_nodes(store)
+    assume(len(nodes) >= 2)
+    ids = data.draw(st.lists(st.sampled_from(store.ids()), unique=True))
+    x = data.draw(st.sampled_from(nodes))
+    visited = data.draw(st.lists(st.sampled_from([t for t in nodes if t != x]),
+                                 min_size=1, unique=True))
+    assert link(store, ids, x, visited) == _oracle_link(store, ids, x, visited)
 
 
 def test_link_precondition_checks(university_store):

@@ -418,21 +418,29 @@ def test_subset_view_property(data, texts):
     # ids in shuffled order, so "parent order" differs from id order
     ids = data.draw(st.permutations(range(len(texts))))
     store = WorkloadStore(parse_query(t, query_id=i) for t, i in zip(texts, ids))
-    members = data.draw(st.sets(st.sampled_from(ids)))
-    others = data.draw(st.sets(st.sampled_from(ids)))
+    # id lists may repeat an id and name ids the store does not hold
+    id_lists = st.lists(st.integers(min_value=0, max_value=len(texts) + 2))
+    asked, others = data.draw(id_lists), data.draw(id_lists)
+    members = set(asked) & set(ids)
     terms = data.draw(st.sets(st.sampled_from(_vocab + [iri("p"), iri("q")]), max_size=3))
-    sub = store.subset(members)
+    sub = store.subset(asked)
 
     assert sub.filter(terms) == [i for i in store.filter(terms) if i in members]
     assert sub.ids() == [i for i in store.ids() if i in members]
-    assert [q.id for q in sub.queries] == [q.id for q in store.queries if q.id in members]
+    # the list comprehension that built a view's queries before, and its
+    # `_by_id` from them: the view keeps both orders
+    oracle = [q for q in store.queries if q.id in set(asked)]
+    assert sub.queries == oracle and list(sub._by_id.items()) == [(q.id, q) for q in oracle]
     assert len(sub) == len(members) and sub.rejected_count == 0
     for outsider in set(ids) - members:
         with pytest.raises(KeyError):
             sub.query(outsider)
 
-    nested, direct = sub.subset(others), store.subset(members & others)
+    nested, direct = sub.subset(others), store.subset(members & set(others))
     assert [q.id for q in nested.queries] == [q.id for q in direct.queries]
+    nested_oracle = [q for q in sub.queries if q.id in set(others)]
+    assert nested.queries == nested_oracle
+    assert list(nested._by_id.items()) == [(q.id, q) for q in nested_oracle]
     assert nested.filter(terms) == direct.filter(terms)
     # the view shares the index; no lookup may have changed it
     _assert_index_matches_scan(store)
