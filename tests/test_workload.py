@@ -427,8 +427,7 @@ def test_subset_view_property(data, texts):
 
     assert sub.filter(terms) == [i for i in store.filter(terms) if i in members]
     assert sub.ids() == [i for i in store.ids() if i in members]
-    # the list comprehension that built a view's queries before, and its
-    # `_by_id` from them: the view keeps both orders
+    # oracle: the members in store order, and an id map in that same order
     oracle = [q for q in store.queries if q.id in set(asked)]
     assert sub.queries == oracle and list(sub._by_id.items()) == [(q.id, q) for q in oracle]
     assert len(sub) == len(members) and sub.rejected_count == 0
