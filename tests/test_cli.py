@@ -280,6 +280,21 @@ def test_evaluate_unwritable_out_fails_before_load(target, tmp_path, monkeypatch
     assert not (tmp_path / "missing").exists() and (tmp_path / "a-file").is_file()
 
 
+@pytest.mark.parametrize("option", ["--out", "--report"])
+def test_summarize_unwritable_output_fails_before_load(option, tmp_path, monkeypatch, capsys):
+    loads = []
+    real_load = workload.load_workload
+    monkeypatch.setattr(workload, "load_workload",
+                        lambda *args, **kwargs: loads.append(args) or real_load(*args, **kwargs))
+    target = tmp_path / "missing" / "x.nt"
+    code = main(["summarize", "--log", str(UNIVERSITY_FILE), "--seed", "Person", "--k", "2",
+                 option, str(target)])
+    assert code == 3
+    assert f"IoError: cannot write {target}: " in capsys.readouterr().err
+    assert loads == []
+    assert not target.parent.exists()
+
+
 def test_reference_protocol_reports_mean_coverage_per_budget(tmp_path):
     log = tmp_path / "log.txt"
     generate_synthetic(SyntheticSpec(n_queries=200), log)
