@@ -199,6 +199,10 @@ def _cmd_summarize(args) -> int:
     except summarizer.InvalidRequest as exc:
         print(f"InvalidRequest: {exc}", file=sys.stderr)
         return 2
+    # as in evaluate: outputs that cannot be written fail before the load
+    for path in (args.out, args.report):
+        if path:
+            _check_writable(path)
     store = _load(args)
     summary = summarizer.summarize(store, request)
     triples = summarizer.to_ntriples(summary)

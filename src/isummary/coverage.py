@@ -155,8 +155,8 @@ def _seed_pool(counts: Counter, order: list[Term], test: WorkloadStore) -> list[
     counts once per query, so it is a train node exactly when the store
     counts it more often than the test part does.
     """
-    in_test = node_frequencies(test, test.ids())
-    return [t for t in order if counts[t] > in_test[t]]
+    in_test = node_frequencies(test, test.ids()).get
+    return [t for t in order if counts[t] > in_test(t, 0)]
 
 
 def _sample_seed_terms(pool: Sequence[Term], test: WorkloadStore, count: int,
@@ -194,6 +194,10 @@ def evaluate(
     sample seed terms present on both sides, then score every
     (seed, k, strategy) cell.  Rows come back sorted so parallel or repeated
     runs emit identical bytes.
+
+    The shuffle runs only as far as the test part (``shuffle_tail``): the
+    train part is a view in the store's order, so only its member set and the
+    rng state that seed sampling continues from matter.
     """
     if not k_values:
         raise ValueError("k_values must be non-empty")
@@ -207,8 +211,8 @@ def evaluate(
     for fold in range(config.folds):
         rng = XorShift64Star(config.rng_seed + fold)
         ids = list(all_ids)
-        rng.shuffle(ids)
         cut = int(len(ids) * config.split_ratio)
+        rng.shuffle_tail(ids, len(ids) - cut)
         train_ids, test_ids = ids[:cut], ids[cut:]
         if not train_ids or not test_ids:
             raise InsufficientWorkload(f"fold {fold} has an empty train or test part")

@@ -10,6 +10,14 @@ derived operation specified bit-exactly:
 * ``random()``: ``(next_u64() >> 11) * 2**-53``;
 * ``randrange(n)``: ``next_u64() % n``;
 * ``shuffle``: Fisher-Yates from the highest index down, ``j = randrange(i+1)``;
+* ``shuffle_tail(xs, count)`` (``0 <= count <= n = len(xs)``): the steps of
+  ``shuffle`` for ``i`` from ``n-1`` down to ``max(n-count, 1)`` only, then the
+  state advanced past the ``max(n-count-1, 0)`` draws of the skipped steps.
+  Position ``i`` is final once step ``i`` has run, so the last ``count`` items
+  and the state are exactly those ``shuffle`` leaves; the first ``n-count``
+  items are the rest, in the order the partial shuffle leaves them.  The
+  xorshift step is linear over GF(2), so the skip costs one 64x64 bit-matrix
+  application per set bit of the step count, not one step per draw;
 * ``sample(xs, k)``: partial Fisher-Yates over a copy, first ``k`` items.
 """
 
@@ -18,6 +26,10 @@ from __future__ import annotations
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
+# _STEP_POWERS[k] is the xorshift step applied 2**k times, as the images of
+# the 64 unit vectors; built on demand, at most 64 of them
+_STEP_POWERS: list[list[int]] = []
+
 
 def splitmix64(value: int) -> int:
     """One splitmix64 output step for the given state value."""
@@ -25,6 +37,39 @@ def splitmix64(value: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _xorshift(x: int) -> int:
+    x ^= x >> 12
+    x = (x ^ (x << 25)) & _MASK64
+    return x ^ (x >> 27)
+
+
+def _apply(columns: list[int], x: int) -> int:
+    """The GF(2) matrix with the given column images applied to ``x``."""
+    y = 0
+    for column in columns:
+        if x & 1:
+            y ^= column
+        x >>= 1
+        if not x:
+            break
+    return y
+
+
+def _skip(x: int, steps: int) -> int:
+    """The state ``steps`` xorshift steps after ``x``."""
+    k = 0
+    while steps:
+        if k == len(_STEP_POWERS):
+            half = _STEP_POWERS[-1] if k else None
+            _STEP_POWERS.append([_xorshift(1 << i) for i in range(64)] if half is None
+                                else [_apply(half, column) for column in half])
+        if steps & 1:
+            x = _apply(_STEP_POWERS[k], x)
+        steps >>= 1
+        k += 1
+    return x
 
 
 class XorShift64Star:
@@ -62,6 +107,22 @@ class XorShift64Star:
             j = ((x * 0x2545F4914F6CDD1D) & _MASK64) % (i + 1)
             xs[i], xs[j] = xs[j], xs[i]
         self._state = x
+
+    def shuffle_tail(self, xs, count: int) -> None:
+        """Shuffle so that the last ``count`` items of ``xs`` and the state are
+        those ``shuffle`` leaves; see the module docstring."""
+        n = len(xs)
+        if count < 0 or count > n:
+            raise ValueError("shuffle tail size out of range")
+        skipped = max(n - count - 1, 0)
+        x = self._state
+        for i in range(n - 1, skipped, -1):
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & _MASK64
+            x ^= x >> 27
+            j = ((x * 0x2545F4914F6CDD1D) & _MASK64) % (i + 1)
+            xs[i], xs[j] = xs[j], xs[i]
+        self._state = _skip(x, skipped)
 
     def sample(self, xs, k: int) -> list:
         if k < 0 or k > len(xs):

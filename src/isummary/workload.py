@@ -56,13 +56,15 @@ class WorkloadStore:
     queries.  The shared index may name ids outside a view, so ``filter``,
     ``ids`` and ``query`` answer for members only.  Query ids are never
     renumbered, so memoized graphs stay valid in every view.  Slot counts
-    depend on the members, so each store and view has its own memo of them.
-    Treated as immutable after construction.
+    depend on the members, so each store and view has its own memo of them;
+    a view holding more than half of its parent's members derives its counts
+    from the parent's (see ``slot_counts``).  Treated as immutable after
+    construction.
     """
 
     __slots__ = (
         "queries", "rejected_count", "term_index", "_by_id", "_graphs", "_graph_parts",
-        "_node_terms", "_slot_counts",
+        "_node_terms", "_slot_counts", "_parent", "_held_out",
     )
 
     def __init__(self, queries: Iterable[ParsedQuery], rejected_count: int = 0):
@@ -82,6 +84,9 @@ class WorkloadStore:
         self._graph_parts: dict = {}
         self._node_terms: dict[int, frozenset[Term]] = {}
         self._slot_counts: dict[tuple[Term, str, str], Counter] = {}
+        # set by `subset` on a view holding more than half of its parent
+        self._parent: WorkloadStore | None = None
+        self._held_out: set[int] | None = None
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -132,17 +137,44 @@ class WorkloadStore:
         """Distinct-query counts of the concrete terms in ``slot`` of member
         patterns that hold ``anchor`` in ``anchor_slot`` (slots are
         TriplePattern fields).  Memoized per store: callers must not mutate
-        the returned Counter."""
+        the returned Counter.
+
+        A store scans its members that hold ``anchor``.  A view holding more
+        than half of its parent's members takes the parent's counts (memoized
+        there) minus those over the parent's holders of ``anchor`` that the
+        view lacks: a query counts once per term, and the view and the ids it
+        lacks split the parent.  So the counts of a fold's train part cost a
+        scan of its test part once the whole store has counted the key.
+
+        An ``anchor`` outside the term index has empty counts, which are not
+        memoized.  So every key is ``(concrete term of the store, slot, slot)``
+        and a memo is bounded by the store's vocabulary, not by the requests
+        it serves.
+        """
         key = (anchor, anchor_slot, slot)
         counts = self._slot_counts.get(key)
         if counts is None:
+            if anchor not in self.term_index:
+                return Counter()
             at, of = TriplePattern._fields.index(anchor_slot), TriplePattern._fields.index(slot)
-            counts = Counter()
-            for qid in self.filter((anchor,)):
-                counts.update({
-                    p[of] for p in self._by_id[qid].patterns if p[at] == anchor and p[of].concrete
-                })
+            parent = self._parent
+            if parent is None:
+                counts = self._scan_slots(anchor, at, of, self.filter((anchor,)))
+            else:
+                if self._held_out is None:
+                    self._held_out = parent._by_id.keys() - self._by_id.keys()
+                holders = self.term_index.get(anchor, set()) & self._held_out
+                counts = (parent.slot_counts(anchor, anchor_slot, slot)
+                          - parent._scan_slots(anchor, at, of, holders))
             self._slot_counts[key] = counts
+        return counts
+
+    def _scan_slots(self, anchor: Term, at: int, of: int, ids: Iterable[int]) -> Counter:
+        counts = Counter()
+        for qid in ids:
+            counts.update({
+                p[of] for p in self._by_id[qid].patterns if p[at] == anchor and p[of].concrete
+            })
         return counts
 
     def subset(self, ids: Iterable[int]) -> "WorkloadStore":
@@ -153,6 +185,8 @@ class WorkloadStore:
         view._by_id = {qid: q for qid, q in self._by_id.items() if qid in wanted}
         view.queries = list(view._by_id.values())
         view._slot_counts = {}
+        view._parent = self if 2 * len(view.queries) > len(self.queries) else None
+        view._held_out = None
         view.rejected_count = 0
         return view
 

@@ -1,5 +1,6 @@
 import hashlib
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,7 @@ from isummary.query_graph import build_graph
 from isummary.rng import XorShift64Star
 from isummary.summarizer import Summary, node_frequencies
 from isummary.synth import SyntheticSpec
-from isummary.terms import Term, TriplePattern, iri
+from isummary.terms import BLANK, Term, TriplePattern, iri
 from isummary.workload import load_workload
 
 from conftest import (
@@ -302,6 +303,34 @@ def test_evaluate_insufficient_workload(university_store):
     config = CoverageConfig(folds=1, sample_seeds=1, split_ratio=0.05, rng_seed=0)
     with pytest.raises(InsufficientWorkload):
         evaluate(university_store.subset([0]), config, [2], ["isummary"])
+
+
+def _evaluated_store(tmp_path):
+    """A synthetic store after one `evaluate` call, with the call's arguments."""
+    path = tmp_path / "synth.txt"
+    generate_synthetic(SyntheticSpec(n_queries=400, rng_seed=1), path)
+    store = load_workload(path)
+    args = (CoverageConfig(folds=3, sample_seeds=3, rng_seed=42), [2, 5], ["isummary", "random"])
+    evaluate(store, *args)
+    return store, args
+
+
+def test_evaluate_slot_count_keys_are_terms_of_the_store(tmp_path):
+    store, _ = _evaluated_store(tmp_path)
+    # the train parts hold 80% of the store, so their counts were derived from its memo
+    assert store._slot_counts
+    assert all(anchor in store.term_index for anchor, _, _ in store._slot_counts)
+    # a term the store does not hold (an unresolved waypoint's blank node) adds no key
+    keys = set(store._slot_counts)
+    assert store.slot_counts(Term(BLANK, "u0"), "subject", "predicate") == Counter()
+    assert set(store._slot_counts) == keys
+
+
+def test_repeated_evaluate_adds_no_slot_count_key(tmp_path):
+    store, args = _evaluated_store(tmp_path)
+    keys = set(store._slot_counts)
+    evaluate(store, *args)
+    assert set(store._slot_counts) == keys
 
 
 def test_evaluate_rng_seed_changes_folds():

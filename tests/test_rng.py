@@ -1,6 +1,10 @@
 import hashlib
 from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from isummary.rng import XorShift64Star, splitmix64
 
 MASK = (1 << 64) - 1
@@ -57,6 +61,38 @@ def test_large_shuffle_is_pinned():
     digest = hashlib.sha256(",".join(map(str, xs)).encode("ascii")).hexdigest()
     assert digest == "4a290871343179bff51025c59c691a103c5c1469eeafb2cf2798f500e2c2eba0"
     assert rng.next_u64() == 8051111360604353642
+
+
+def test_large_shuffle_tail_is_pinned():
+    # the benchmark's evaluate fold: the 10,000-id test part of 50,000 ids,
+    # the same items and next draw as the full shuffle above leaves
+    rng = XorShift64Star(42)
+    xs = list(range(50_000))
+    rng.shuffle_tail(xs, 10_000)
+    digest = hashlib.sha256(",".join(map(str, xs[40_000:])).encode("ascii")).hexdigest()
+    assert digest == "7c85a4e0e02b6ade3c3180bae9f02932bce2598b0eed8d1757e49b9a64610986"
+    assert rng.next_u64() == 8051111360604353642
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=MASK), n=st.integers(min_value=0, max_value=300))
+def test_shuffle_tail_matches_shuffle(seed, n):
+    full = XorShift64Star(seed)
+    xs = list(range(n))
+    full.shuffle(xs)
+    for count in range(n + 1):
+        rng = XorShift64Star(seed)
+        ys = list(range(n))
+        rng.shuffle_tail(ys, count)
+        assert ys[n - count:] == xs[n - count:]
+        assert sorted(ys) == list(range(n))
+        assert rng._state == full._state
+
+
+def test_shuffle_tail_size_out_of_range():
+    for count in (-1, 4):
+        with pytest.raises(ValueError):
+            XorShift64Star(1).shuffle_tail([0, 1, 2], count)
 
 
 def test_random_unit_interval():

@@ -265,20 +265,39 @@ def _check_slot_counts(store):
         assert store.slot_counts(anchor, anchor_slot, slot) == expected
 
 
+def _most_of(data, store):
+    """A view of ``store`` lacking fewer than half of its members, so it
+    derives its slot counts from the store's."""
+    ids = store.ids()
+    lacks = data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=(len(ids) - 1) // 2))
+    view = store.subset(set(ids) - set(lacks))
+    assert view._parent is store
+    return view
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), texts=_slot_queries, root_first=st.booleans())
 def test_slot_counts_memo_is_per_view(data, texts, root_first):
     root = store_from_texts(texts)
     member_ids = st.lists(st.sampled_from(root.ids()), unique=True)
     early = root.subset(data.draw(member_ids))
-    for store in ((root, early) if root_first else (early, root)):
+    most = _most_of(data, root)
+    # root first: `most` derives from the root's memo; else its misses fill it
+    for store in ((root, early, most) if root_first else (most, early, root)):
         _check_slot_counts(store)
     # views made after their parent's memo is filled start with their own
     late = root.subset(data.draw(member_ids))
     _check_slot_counts(late)
     inner = late.subset(data.draw(member_ids))
     _check_slot_counts(inner)
-    for store in (root, early, late, inner):
+    # views of views holding most of their parent: one over a filled memo, and
+    # one filled first over a new root, so each miss goes down two empty levels
+    most_inner = _most_of(data, most)
+    fresh = _most_of(data, store_from_texts(texts))
+    fresh_inner = _most_of(data, fresh)
+    for store in (most_inner, fresh_inner, fresh):
+        _check_slot_counts(store)
+    for store in (root, early, most, late, inner, most_inner, fresh, fresh_inner):
         _check_slot_counts(store)
 
 
