@@ -23,12 +23,10 @@ derived operation specified bit-exactly:
 
 from __future__ import annotations
 
+import functools
+
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-
-# _STEP_POWERS[k] is the xorshift step applied 2**k times, as the images of
-# the 64 unit vectors; built on demand, at most 64 of them
-_STEP_POWERS: list[list[int]] = []
 
 
 def splitmix64(value: int) -> int:
@@ -45,7 +43,7 @@ def _xorshift(x: int) -> int:
     return x ^ (x >> 27)
 
 
-def _apply(columns: list[int], x: int) -> int:
+def _apply(columns: tuple[int, ...], x: int) -> int:
     """The GF(2) matrix with the given column images applied to ``x``."""
     y = 0
     for column in columns:
@@ -57,16 +55,21 @@ def _apply(columns: list[int], x: int) -> int:
     return y
 
 
+@functools.cache
+def _step_power(k: int) -> tuple[int, ...]:
+    """The xorshift step applied ``2**k`` times, as the images of the 64 unit vectors."""
+    if k == 0:
+        return tuple(_xorshift(1 << i) for i in range(64))
+    half = _step_power(k - 1)
+    return tuple(_apply(half, column) for column in half)
+
+
 def _skip(x: int, steps: int) -> int:
     """The state ``steps`` xorshift steps after ``x``."""
     k = 0
     while steps:
-        if k == len(_STEP_POWERS):
-            half = _STEP_POWERS[-1] if k else None
-            _STEP_POWERS.append([_xorshift(1 << i) for i in range(64)] if half is None
-                                else [_apply(half, column) for column in half])
         if steps & 1:
-            x = _apply(_STEP_POWERS[k], x)
+            x = _apply(_step_power(k), x)
         steps >>= 1
         k += 1
     return x
@@ -95,7 +98,7 @@ class XorShift64Star:
             raise ValueError("randrange bound must be positive")
         return self.next_u64() % n
 
-    # shuffle and sample inline the next_u64 step: a method call per draw
+    # the shuffles and sample inline the next_u64 step: a method call per draw
     # costs more than the step itself, and a fold shuffles every query id
 
     def shuffle(self, xs) -> None:

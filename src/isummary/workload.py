@@ -84,7 +84,8 @@ class WorkloadStore:
         self._graph_parts: dict = {}
         self._node_terms: dict[int, frozenset[Term]] = {}
         self._slot_counts: dict[tuple[Term, str, str], Counter] = {}
-        # set by `subset` on a view holding more than half of its parent
+        # for a view holding more than half of its parent: the parent (set by
+        # `subset`) and the parent's ids the view lacks (set by `slot_counts`)
         self._parent: WorkloadStore | None = None
         self._held_out: set[int] | None = None
 
@@ -163,7 +164,7 @@ class WorkloadStore:
             else:
                 if self._held_out is None:
                     self._held_out = parent._by_id.keys() - self._by_id.keys()
-                holders = self.term_index.get(anchor, set()) & self._held_out
+                holders = self.term_index[anchor] & self._held_out
                 counts = (parent.slot_counts(anchor, anchor_slot, slot)
                           - parent._scan_slots(anchor, at, of, holders))
             self._slot_counts[key] = counts
