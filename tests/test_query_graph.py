@@ -1,4 +1,5 @@
 import itertools
+import signal
 from collections import deque
 
 import networkx as nx
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isummary.parser import parse_query
+from isummary.parser import ParsedQuery, parse_query
 from isummary.query_graph import (
     BACKWARD,
     FORWARD,
@@ -77,6 +78,35 @@ def test_multi_typed_variable_keeps_least_class():
     g = graph_of(text)
     assert TriplePattern(iri("Animal"), RDF_TYPE, iri("Zebra")) in g.edges
     assert TriplePattern(iri("Animal"), iri("eats"), iri("Grass")) in g.edges
+
+
+def test_type_flood_builds_within_a_cap():
+    # one variable typed 20,000 times, least class last: the build must stay
+    # near linear (a per-class list scan took about 8 s); the cap is generous
+    x = variable("x")
+    classes = [iri(f"C{i}") for i in range(20_000)]
+    query = ParsedQuery(0, tuple(TriplePattern(x, RDF_TYPE, c) for c in reversed(classes)))
+
+    def expired(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    # the failure is reported outside the handler: a traceback that ends in a
+    # signal raised mid-loop can have no line number to show
+    graph = None
+    try:
+        graph = build_graph(query)
+    except TimeoutError:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert graph is not None, "build_graph exceeded its 2 s cap"
+    least = min(classes, key=Term.sort_key)
+    assert len(graph.edges) == len(classes) - 1
+    assert {e.subject for e in graph.edges} == {least}
+    assert TriplePattern(least, RDF_TYPE, least) not in graph.edges
 
 
 def test_concrete_subject_type_pattern_stays_edge():
