@@ -101,17 +101,17 @@ class QueryGraph:
 
 def _type_relabel(patterns) -> dict[Term, Term]:
     """Map each variable with concrete rdf:type classes to its least class."""
-    classes: dict[Term, list[Term]] = {}
+    least: dict[Term, Term] = {}
     for pattern in patterns:
         if (
             pattern.predicate == RDF_TYPE
             and pattern.subject.kind == VARIABLE
             and pattern.object.kind == IRI
         ):
-            seen = classes.setdefault(pattern.subject, [])
-            if pattern.object not in seen:
-                seen.append(pattern.object)
-    return {v: min(cs, key=Term.sort_key) for v, cs in classes.items()}
+            current = least.get(pattern.subject)
+            if current is None or pattern.object.sort_key() < current.sort_key():
+                least[pattern.subject] = pattern.object
+    return least
 
 
 def build_graph(query: ParsedQuery, intern: dict | None = None) -> QueryGraph:

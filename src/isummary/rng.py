@@ -9,15 +9,16 @@ derived operation specified bit-exactly:
   return x * 0x2545F4914F6CDD1D`` (all mod 2**64);
 * ``random()``: ``(next_u64() >> 11) * 2**-53``;
 * ``randrange(n)``: ``next_u64() % n``;
-* ``shuffle``: Fisher-Yates from the highest index down, ``j = randrange(i+1)``;
 * ``shuffle_tail(xs, count)`` (``0 <= count <= n = len(xs)``): the steps of
-  ``shuffle`` for ``i`` from ``n-1`` down to ``max(n-count, 1)`` only, then the
-  state advanced past the ``max(n-count-1, 0)`` draws of the skipped steps.
-  Position ``i`` is final once step ``i`` has run, so the last ``count`` items
-  and the state are exactly those ``shuffle`` leaves; the first ``n-count``
-  items are the rest, in the order the partial shuffle leaves them.  The
-  xorshift step is linear over GF(2), so the skip costs one 64x64 bit-matrix
-  application per set bit of the step count, not one step per draw;
+  a Fisher-Yates shuffle from the highest index down, ``j = randrange(i+1)``,
+  for ``i`` from ``n-1`` down to ``max(n-count, 1)`` only, then the state
+  advanced past the ``max(n-count-1, 0)`` draws of the skipped steps.  The
+  full shuffle is ``shuffle_tail(xs, len(xs))``.  Position ``i`` is final
+  once step ``i`` has run, so the last ``count`` items and the state are
+  exactly those the full shuffle leaves; the first ``n-count`` items are the
+  rest, in the order the partial shuffle leaves them.  The xorshift step is
+  linear over GF(2), so the skip costs one 64x64 bit-matrix application per
+  set bit of the step count, not one step per draw;
 * ``sample(xs, k)``: partial Fisher-Yates over a copy, first ``k`` items.
 """
 
@@ -98,22 +99,13 @@ class XorShift64Star:
             raise ValueError("randrange bound must be positive")
         return self.next_u64() % n
 
-    # the shuffles and sample inline the next_u64 step: a method call per draw
-    # costs more than the step itself, and a fold shuffles every query id
-
-    def shuffle(self, xs) -> None:
-        x = self._state
-        for i in range(len(xs) - 1, 0, -1):
-            x ^= x >> 12
-            x = (x ^ (x << 25)) & _MASK64
-            x ^= x >> 27
-            j = ((x * 0x2545F4914F6CDD1D) & _MASK64) % (i + 1)
-            xs[i], xs[j] = xs[j], xs[i]
-        self._state = x
+    # shuffle_tail and sample inline the next_u64 step: a method call per draw
+    # costs more than the step itself, and a fold shuffles thousands of ids
 
     def shuffle_tail(self, xs, count: int) -> None:
         """Shuffle so that the last ``count`` items of ``xs`` and the state are
-        those ``shuffle`` leaves; see the module docstring."""
+        those the full shuffle ``shuffle_tail(xs, len(xs))`` leaves; see the
+        module docstring."""
         n = len(xs)
         if count < 0 or count > n:
             raise ValueError("shuffle tail size out of range")

@@ -387,7 +387,7 @@ def summarize(store: WorkloadStore, request: SummaryRequest) -> Summary:
     Deterministic for a fixed store and request; the random strategy is a
     pure function of its ``random_seed``.
     """
-    if not store.queries:
+    if not len(store):
         raise NoRelevantQueries("the workload store is empty")
     relevant, warnings = _relevant_ids(store, request.seeds)
     if request.strategy == ISUMMARY:

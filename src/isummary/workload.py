@@ -6,7 +6,7 @@ import copy
 import logging
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 from urllib.parse import unquote_plus
 
 from .parser import ParsedQuery, ParseError, parse_query
@@ -49,30 +49,31 @@ def concrete_node_terms(query: ParsedQuery) -> frozenset[Term]:
 class WorkloadStore:
     """Parsed queries plus an inverted index from concrete terms to query ids.
 
-    A store built from queries is a root: it owns the term index, the lazy
-    per-query graph and node-term memos, and the table of parts (steps, hop
-    tuples, collapsed triples) its graphs share.  ``subset`` returns a view
-    that shares all four with the root by reference and holds only its member
-    queries.  The shared index may name ids outside a view, so ``filter``,
-    ``ids`` and ``query`` answer for members only.  Query ids are never
-    renumbered, so memoized graphs stay valid in every view.  Slot counts
-    depend on the members, so each store and view has its own memo of them;
-    a view holding more than half of its parent's members derives its counts
-    from the parent's (see ``slot_counts``).  Treated as immutable after
-    construction.
+    A store built from queries is a root: it owns the id-to-query map, the
+    term index, the lazy per-query graph and node-term memos, and the table of
+    parts (steps, hop tuples, collapsed triples) its graphs share.  ``subset``
+    returns a view that shares all five with the root by reference; a view
+    is those shared maps plus the set of its member ids.  The shared maps
+    name ids outside a view, so ``len``, ``filter``, ``ids`` and ``query``
+    answer for members only, while ``graph`` and ``node_terms`` answer for
+    any id the root holds.  ``queries`` lists the members in the root's build
+    order and costs a pass over the root.  Query ids are never renumbered,
+    so memoized graphs stay valid in every view.  Slot counts depend on the
+    members, so each store and view has its own memo of them; a view holding
+    more than half of its parent's members derives its counts from the
+    parent's (see ``slot_counts``).  Treated as immutable after construction.
     """
 
     __slots__ = (
-        "queries", "rejected_count", "term_index", "_by_id", "_graphs", "_graph_parts",
+        "rejected_count", "term_index", "_by_id", "_members", "_graphs", "_graph_parts",
         "_node_terms", "_slot_counts", "_parent", "_held_out",
     )
 
     def __init__(self, queries: Iterable[ParsedQuery], rejected_count: int = 0):
-        self.queries: list[ParsedQuery] = list(queries)
         self.rejected_count = rejected_count
         self.term_index: dict[Term, set[int]] = {}
         self._by_id: dict[int, ParsedQuery] = {}
-        for q in self.queries:
+        for q in queries:
             if q.id in self._by_id:
                 raise ValueError(f"duplicate query id {q.id}")
             self._by_id[q.id] = q
@@ -80,6 +81,8 @@ class WorkloadStore:
                 for term in pattern.terms():
                     if term.concrete:
                         self.term_index.setdefault(term, set()).add(q.id)
+        # a root's members are its map's keys; a view's, a set (see `subset`)
+        self._members: AbstractSet[int] = self._by_id.keys()
         self._graphs: dict[int, QueryGraph] = {}
         self._graph_parts: dict = {}
         self._node_terms: dict[int, frozenset[Term]] = {}
@@ -89,16 +92,27 @@ class WorkloadStore:
         self._parent: WorkloadStore | None = None
         self._held_out: set[int] | None = None
 
+    @property
+    def queries(self) -> list[ParsedQuery]:
+        """The member queries in the root's build order.  A pass over the
+        root: hot paths use ``len`` and ``filter`` instead."""
+        members = self._members
+        return [q for qid, q in self._by_id.items() if qid in members]
+
     def __len__(self) -> int:
-        return len(self.queries)
+        return len(self._members)
 
     def ids(self) -> list[int]:
-        return sorted(self._by_id)
+        return sorted(self._members)
 
     def query(self, query_id: int) -> ParsedQuery:
+        if query_id not in self._members:
+            raise KeyError(query_id)
         return self._by_id[query_id]
 
     def graph(self, query_id: int) -> QueryGraph:
+        """The query's type-collapsed graph, memoized for every store sharing
+        the root's memo: answers for any id the root holds."""
         g = self._graphs.get(query_id)
         if g is None:
             g = build_graph(self._by_id[query_id], self._graph_parts)
@@ -106,7 +120,7 @@ class WorkloadStore:
         return g
 
     def node_terms(self, query_id: int) -> frozenset[Term]:
-        """``concrete_node_terms`` of the query, memoized."""
+        """``concrete_node_terms`` of the query, memoized as ``graph`` is."""
         terms = self._node_terms.get(query_id)
         if terms is None:
             terms = concrete_node_terms(self._by_id[query_id])
@@ -132,7 +146,7 @@ class WorkloadStore:
         if result is None:
             return self.ids()
         # members last: the term sets are intersected first, as they shrink fastest
-        return sorted(self._by_id.keys() & result)
+        return sorted(self._members & result)
 
     def slot_counts(self, anchor: Term, anchor_slot: str, slot: str) -> Counter:
         """Distinct-query counts of the concrete terms in ``slot`` of member
@@ -163,7 +177,7 @@ class WorkloadStore:
                 counts = self._scan_slots(anchor, at, of, self.filter((anchor,)))
             else:
                 if self._held_out is None:
-                    self._held_out = parent._by_id.keys() - self._by_id.keys()
+                    self._held_out = parent._members - self._members
                 holders = self.term_index[anchor] & self._held_out
                 counts = (parent.slot_counts(anchor, anchor_slot, slot)
                           - parent._scan_slots(anchor, at, of, holders))
@@ -179,14 +193,11 @@ class WorkloadStore:
         return counts
 
     def subset(self, ids: Iterable[int]) -> "WorkloadStore":
-        """A view over the member queries with the given ids, in this store's order."""
-        wanted = set(ids)
+        """A view over the member queries with the given ids."""
         view = copy.copy(self)
-        # `_by_id` is always built in `queries` order, so one pass over it keeps that order
-        view._by_id = {qid: q for qid, q in self._by_id.items() if qid in wanted}
-        view.queries = list(view._by_id.values())
+        view._members = self._members & set(ids)
         view._slot_counts = {}
-        view._parent = self if 2 * len(view.queries) > len(self.queries) else None
+        view._parent = self if 2 * len(view._members) > len(self._members) else None
         view._held_out = None
         view.rejected_count = 0
         return view

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
@@ -16,6 +17,14 @@ def reference_splitmix64(value):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
     return z ^ (z >> 31)
+
+
+def reference_shuffle(rng, xs):
+    # the documented full shuffle, one method call per draw: Fisher-Yates
+    # from the highest index down with j = randrange(i + 1)
+    for i in range(len(xs) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        xs[i], xs[j] = xs[j], xs[i]
 
 
 def test_splitmix_matches_reference():
@@ -41,7 +50,7 @@ def test_stream_is_reproducible_and_pinned():
 def test_shuffle_is_pinned():
     rng = XorShift64Star(11)
     xs = list(range(30))
-    rng.shuffle(xs)
+    rng.shuffle_tail(xs, len(xs))
     assert xs == [14, 0, 2, 28, 4, 10, 24, 21, 19, 25, 29, 5, 23, 27, 20,
                   9, 18, 26, 16, 11, 3, 15, 8, 6, 12, 1, 13, 22, 17, 7]
     assert rng.next_u64() == 7639912611038368449
@@ -57,7 +66,7 @@ def test_large_shuffle_is_pinned():
     # the size of the benchmark's evaluate fold shuffle
     rng = XorShift64Star(42)
     xs = list(range(50_000))
-    rng.shuffle(xs)
+    rng.shuffle_tail(xs, len(xs))
     digest = hashlib.sha256(",".join(map(str, xs)).encode("ascii")).hexdigest()
     assert digest == "4a290871343179bff51025c59c691a103c5c1469eeafb2cf2798f500e2c2eba0"
     assert rng.next_u64() == 8051111360604353642
@@ -79,7 +88,7 @@ def test_large_shuffle_tail_is_pinned():
 def test_shuffle_tail_matches_shuffle(seed, n):
     full = XorShift64Star(seed)
     xs = list(range(n))
-    full.shuffle(xs)
+    reference_shuffle(full, xs)
     for count in range(n + 1):
         rng = XorShift64Star(seed)
         ys = list(range(n))
@@ -87,6 +96,15 @@ def test_shuffle_tail_matches_shuffle(seed, n):
         assert ys[n - count:] == xs[n - count:]
         assert sorted(ys) == list(range(n))
         assert rng._state == full._state
+
+
+def test_full_shuffle_tail_is_the_reference_shuffle():
+    for seed, n in itertools.product((1, 11, 42), (0, 1, 2, 3, 30, 1000)):
+        rng, reference = XorShift64Star(seed), XorShift64Star(seed)
+        xs, ys = list(range(n)), list(range(n))
+        rng.shuffle_tail(xs, n)
+        reference_shuffle(reference, ys)
+        assert xs == ys and rng._state == reference._state
 
 
 def test_shuffle_tail_size_out_of_range():
@@ -111,7 +129,7 @@ def test_shuffle_is_permutation():
     rng = XorShift64Star(11)
     xs = list(range(30))
     shuffled = list(xs)
-    rng.shuffle(shuffled)
+    rng.shuffle_tail(shuffled, len(shuffled))
     assert sorted(shuffled) == xs and shuffled != xs
 
 

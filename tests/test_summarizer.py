@@ -417,6 +417,11 @@ def test_unknown_seed_raises(university_store):
         summarize(university_store, SummaryRequest((iri("Nonexistent"),), 3))
 
 
+def test_empty_view_raises(university_store):
+    with pytest.raises(NoRelevantQueries, match="the workload store is empty"):
+        summarize(university_store.subset([]), SummaryRequest((PERSON,), 3))
+
+
 def test_invalid_requests(university_store):
     with pytest.raises(InvalidRequest):
         SummaryRequest((), 3)
