@@ -51,17 +51,16 @@ class WorkloadStore:
 
     A store built from queries is a root: it owns the id-to-query map, the
     term index, the lazy per-query graph and node-term memos, and the table of
-    parts (steps, hop tuples, collapsed triples) its graphs share.  ``subset``
-    returns a view that shares all five with the root by reference; a view
-    is those shared maps plus the set of its member ids.  The shared maps
-    name ids outside a view, so ``len``, ``filter``, ``ids`` and ``query``
-    answer for members only, while ``graph`` and ``node_terms`` answer for
-    any id the root holds.  ``queries`` lists the members in the root's build
-    order and costs a pass over the root.  Query ids are never renumbered,
-    so memoized graphs stay valid in every view.  Slot counts depend on the
-    members, so each store and view has its own memo of them; a view holding
-    more than half of its parent's members derives its counts from the
-    parent's (see ``slot_counts``).  Treated as immutable after construction.
+    parts (steps, hop tuples, collapsed triples) its graphs share.  A view
+    from ``subset`` is those five, shared by reference, plus its member ids.
+    So ``len``, ``filter``, ``ids`` and ``query`` answer for members only,
+    ``graph`` and ``node_terms`` for any id the root holds, and ``queries``
+    lists the members in the root's order at the cost of a pass over the
+    root.  Query ids are never renumbered, so memoized graphs stay valid in
+    every view.  Slot counts depend on the members, so each store and view
+    has its own memo of them; a view holding more than half of its parent's
+    members derives its counts from the parent's (see ``slot_counts``).
+    Treated as immutable after construction.
     """
 
     __slots__ = (
@@ -94,8 +93,7 @@ class WorkloadStore:
 
     @property
     def queries(self) -> list[ParsedQuery]:
-        """The member queries in the root's build order.  A pass over the
-        root: hot paths use ``len`` and ``filter`` instead."""
+        """The member queries in the root's build order; a pass over the root."""
         members = self._members
         return [q for qid, q in self._by_id.items() if qid in members]
 
@@ -111,8 +109,6 @@ class WorkloadStore:
         return self._by_id[query_id]
 
     def graph(self, query_id: int) -> QueryGraph:
-        """The query's type-collapsed graph, memoized for every store sharing
-        the root's memo: answers for any id the root holds."""
         g = self._graphs.get(query_id)
         if g is None:
             g = build_graph(self._by_id[query_id], self._graph_parts)
@@ -120,7 +116,7 @@ class WorkloadStore:
         return g
 
     def node_terms(self, query_id: int) -> frozenset[Term]:
-        """``concrete_node_terms`` of the query, memoized as ``graph`` is."""
+        """``concrete_node_terms`` of the query, memoized."""
         terms = self._node_terms.get(query_id)
         if terms is None:
             terms = concrete_node_terms(self._by_id[query_id])
