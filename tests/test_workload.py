@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isummary.parser import parse_query
-from isummary.terms import iri, literal
+from isummary.terms import RDF_TYPE, iri, literal
 from isummary.workload import EmptyWorkload, IoError, WorkloadStore, load_workload
 
 from conftest import UNIVERSITY_QUERIES, collapsed_concrete_nodes, store_from_texts
@@ -522,6 +522,24 @@ def test_load_shares_one_object_per_iri_across_spellings(tmp_path):
     alone = [parse_query(line, base_prefix="http://ex.org/")
              for line in _SPELLINGS_LOG.splitlines()]
     assert [q.patterns for q in alone] == [q.patterns for q in store.queries]
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_load_keeps_one_rdf_type_object_across_spellings(tmp_path, order):
+    # ``a`` and both spellings of its IRI denote one term: one object per load
+    lines = [
+        "SELECT ?x WHERE { ?x a <C> }",
+        "SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <D> }",
+        "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
+        "SELECT ?x WHERE { ?x rdf:type <E> }",
+        "SELECT ?x WHERE { ?x a <F> }",
+    ][::order]
+    path = tmp_path / "log.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    store = load_workload(path, format="raw-lines")
+    first, *others = (q.patterns[0].predicate for q in store.queries)
+    assert first == RDF_TYPE
+    assert all(predicate is first for predicate in others)
 
 
 def test_negative_tsv_column_rejected(tmp_path):
