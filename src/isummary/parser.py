@@ -13,6 +13,15 @@ token at the end of the text, and a recursive descent parser walks them.
 Loading a log passes one intern table to every ``parse_query`` call, so each
 distinct term and triple pattern is built once and each distinct accepted
 record text is parsed once.
+
+Most logged queries are plain ``SELECT ?v… WHERE { s p o . … }`` texts with
+whitespace between tokens, and a fast path reads those from one whitespace
+split.  It accepts only variables, ``<IRI>``s, bare names that are no
+keyword, ``a`` as a predicate and plain ``"…"`` strings, and it gives up on
+anything else.  It never rejects: a text it gives up on goes to the recursive
+descent parser, the only source of :class:`ParseError`.  It builds its terms
+and triples through the same intern table, so both paths return the same
+objects, and it memoizes each token's term in a dict that the table holds.
 """
 
 from __future__ import annotations
@@ -285,8 +294,9 @@ class _Parser:
         if kind == "PATHOP" or (kind == "PUNCT" and value in "(*"):
             self._error("property paths are not supported", tok)
         if kind == "NAME" and value == "a":
+            # the table's one rdf:type object, whichever spelling came first
             self._advance()
-            return RDF_TYPE
+            return self.table.setdefault(RDF_TYPE, RDF_TYPE)
         if kind == "VAR":
             self._advance()
             return self._term(tok, VARIABLE, value[1:])
@@ -407,6 +417,82 @@ class _Parser:
                 depth -= 1
 
 
+# -- fast path ------------------------------------------------------------------
+
+# Every keyword the grammar reads; a bare name spelling one, in any case,
+# sends the text to the full parser.
+_KEYWORDS = _REJECTED_KEYWORDS | {
+    "SELECT", "WHERE", "PREFIX", "FILTER", "OPTIONAL", "UNION", "DISTINCT",
+    "REDUCED", "LIMIT", "OFFSET", "EXISTS", "NOT",
+}
+_VAR = re.compile(r"[?$][A-Za-z_][A-Za-z0-9_]*").fullmatch
+_IRIREF = re.compile(r'<[^<>"{}|^`\\\x00-\x20]+>').fullmatch
+_BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*").fullmatch
+_PLAIN_STRING = re.compile(r'"[^"\\\n]*"').fullmatch
+# The intern table holds the fast path's token memo under this key.  A token
+# is never a key of the table itself: a whitespace-free accepted record text
+# such as ``SELECT*{?s<p>?o}`` already is one, mapped to its patterns.
+_TOKEN_MEMO = object()
+
+
+def _token_term(token: str, base_prefix: str, table: dict):
+    """The term ``token`` denotes as a subject or object, or False when the
+    fast path leaves it to the full parser."""
+    if _VAR(token):
+        key = (VARIABLE, token[1:], None)
+    elif _IRIREF(token):
+        key = (IRI, token[1:-1], None)
+    elif _PLAIN_STRING(token):
+        key = (LITERAL, token[1:-1], None)
+    elif _BARE_NAME(token) and token != "a" and token.upper() not in _KEYWORDS:
+        key = (IRI, base_prefix + token, None)
+    else:
+        return False
+    try:
+        return interned(table, Term, key)
+    except ValueError:
+        return False
+
+
+def _fast_patterns(text: str, base_prefix: str | None, table: dict):
+    """The patterns of a text whose whitespace split is exactly
+    ``SELECT ?v… WHERE { s p o . … }``, or None: give up, never reject."""
+    parts = text.split()
+    if len(parts) < 8 or parts[0] != "SELECT" or parts[-1] != "}":
+        return None
+    try:
+        where = parts.index("WHERE", 2)
+    except ValueError:
+        return None
+    body = parts[where + 2:-1]
+    dots = body[3::4]
+    if (parts[where + 1] != "{" or not body or len(body) % 4 not in (0, 3)
+            or dots.count(".") != len(dots) or not all(map(_VAR, parts[1:where]))):
+        return None
+    memo = table.get(_TOKEN_MEMO)
+    if memo is None:
+        memo = table[_TOKEN_MEMO] = {}
+    base = base_prefix or ""
+    patterns = []
+    for i in range(0, len(body), 4):
+        terms = []
+        for token in body[i:i + 3]:
+            if token == "a" and len(terms) == 1:
+                term = table.setdefault(RDF_TYPE, RDF_TYPE)
+            else:
+                term = memo.get(token)
+                if term is None:
+                    term = memo[token] = _token_term(token, base, table)
+            if not term:
+                return None
+            terms.append(term)
+        try:
+            patterns.append(interned(table, TriplePattern, tuple(terms)))
+        except ValueError:  # a literal subject or predicate
+            return None
+    return tuple(patterns)
+
+
 def parse_query(
     text: str,
     query_id: int = 0,
@@ -424,7 +510,13 @@ def parse_query(
     object across the log's queries, and each distinct accepted text is
     parsed once: a repeated text gets the same patterns tuple.  The table
     holds no rejection, so a rejected text is parsed again at each
-    occurrence.
+    occurrence.  It also holds the fast path's token memo (token to term, or
+    give up), under a private key.
+
+    A plain ``SELECT ?v… WHERE { s p o . … }`` text is read by the fast path
+    (see the module docstring); it returns the patterns, as the same
+    objects, that the recursive descent parser would.  Any other text, and
+    any text the fast path is unsure of, goes to that parser.
 
     Raises :class:`ParseError` (with a byte offset) for anything outside the
     supported subset, including property paths and subqueries.
@@ -432,7 +524,10 @@ def parse_query(
     table = {} if intern is None else intern
     patterns = table.get(text)
     if patterns is None:
-        patterns = table[text] = _Parser(text, base_prefix, table).parse()
+        patterns = _fast_patterns(text, base_prefix, table)
+        if patterns is None:
+            patterns = _Parser(text, base_prefix, table).parse()
+        table[text] = patterns
     return ParsedQuery(query_id, patterns, source_line)
 
 

@@ -24,6 +24,8 @@ FORMATS = (RAW_LINES, URLENCODED_LINES, RQ_DIRECTORY, TSV)
 # Rejections logged one line each at WARNING; later ones go to DEBUG so a
 # large log with many rejects does not flood stderr.
 WARNED_REJECTIONS = 20
+# the closing WARNING's histogram names this many reasons, most common first
+SHOWN_REASONS = 5
 
 
 class IoError(Exception):
@@ -249,6 +251,15 @@ def check_format(format: str, tsv_column: int | None) -> None:
         raise ValueError(f"tsv_column must be 0-based, got {tsv_column}")
 
 
+def _histogram(reasons: Counter) -> str:
+    """The most common reasons with their counts, then how many others."""
+    shown = reasons.most_common(SHOWN_REASONS)
+    parts = [f"{count} {reason!r}" for reason, count in shown]
+    if len(reasons) > len(shown):
+        parts.append(f"{len(reasons) - len(shown)} other reasons")
+    return ", ".join(parts)
+
+
 def load_workload(
     path,
     format: str = RAW_LINES,
@@ -259,7 +270,8 @@ def load_workload(
 
     Unparsable records are counted and logged with their line numbers rather
     than aborting the load; past the first ``WARNED_REJECTIONS`` they are
-    logged at DEBUG and one closing WARNING gives the total.  For ``tsv``
+    logged at DEBUG and one closing WARNING gives the total and the counts
+    per reason (``ParseError.reason``), most common first.  For ``tsv``
     input a non-blank row with no query in its query column is a rejected
     record, and the first non-blank row is treated as a header and skipped
     silently if it fails to parse or has no query.
@@ -271,6 +283,7 @@ def load_workload(
 
     queries: list[ParsedQuery] = []
     rejected = 0
+    reasons: Counter = Counter()
     first_record = True
     # the load's intern table (see parse_query): each distinct term, triple
     # and record text costs once, and a repeated text shares its patterns
@@ -294,12 +307,13 @@ def load_workload(
                 logger.debug("skipping header row of %s", path)
             else:
                 rejected += 1
+                reasons[reason.reason if isinstance(reason, ParseError) else reason] += 1
                 level = logging.WARNING if rejected <= WARNED_REJECTIONS else logging.DEBUG
                 logger.log(level, "rejected record at line %d of %s: %s", line_no, path, reason)
         first_record = False
     if rejected > WARNED_REJECTIONS:
-        logger.warning("rejected %d records of %s; those after the first %d logged at DEBUG",
-                       rejected, path, WARNED_REJECTIONS)
+        logger.warning("rejected %d records of %s; those after the first %d logged at DEBUG; "
+                       "by reason: %s", rejected, path, WARNED_REJECTIONS, _histogram(reasons))
     if not queries:
         raise EmptyWorkload(f"no parsable query in {path}")
     return WorkloadStore(queries, rejected_count=rejected)

@@ -2,17 +2,21 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isummary.parser import (
     END,
     ParseError,
+    _fast_patterns,
+    _Parser,
     _tokenize,
     parse_query,
     parse_term,
 )
 from isummary.terms import RDF_TYPE, Term, TriplePattern, iri, literal, variable
+
+from test_acceptance import _conformance_corpus
 
 
 def patterns_of(text, **kwargs):
@@ -417,3 +421,130 @@ def test_tokenizer_matches_oracle(pieces, trailing):
     text = "".join(ws + fragment for ws, fragment in pieces) + trailing
     expected = [(t.kind, t.value, t.pos) for t in _oracle_tokenize(text)]
     assert _tokenize(text) == expected + [(END, "", len(text))]
+
+
+# -- fast path oracle -----------------------------------------------------------
+
+# every keyword the grammar reads, in upper case
+_GRAMMAR_KEYWORDS = {
+    "BASE", "ASK", "CONSTRUCT", "DESCRIBE", "MINUS", "BIND", "VALUES", "GRAPH", "SERVICE",
+    "ORDER", "GROUP", "HAVING", "INSERT", "DELETE", "SELECT", "WHERE", "PREFIX", "FILTER",
+    "OPTIONAL", "UNION", "DISTINCT", "REDUCED", "LIMIT", "OFFSET", "EXISTS", "NOT",
+}
+_PLAIN_SHAPE = re.compile(r"Sv+W\{(?:[vi][via][vil]\.)*[vi][via][vil]\.?\}")
+
+
+def _shape_symbol(kind, value):
+    if kind == "NAME" and value in ("SELECT", "WHERE", "a"):
+        return value[0]
+    if kind == "NAME" and ":" not in value and value.upper() not in _GRAMMAR_KEYWORDS:
+        return "i"
+    if kind == "IRIREF" and value != "<>":
+        return "i"
+    if kind == "STRING" and value[0] == '"' and "\\" not in value:
+        return "l"
+    if kind == "VAR":
+        return "v"
+    return value if kind == "PUNCT" else "x"
+
+
+def _plain_shape(text):
+    """Oracle of the texts the fast path takes, from the tokenizer's tokens:
+    whitespace around every token and none inside one, then ``SELECT``,
+    variables, ``WHERE {``, triples of variables, IRIs, bare names that are no
+    keyword, ``a`` as a predicate and plain strings as objects, split by
+    ``.`` with an optional last one, and ``}``."""
+    tokens = _tokenize(text)[:-1]
+    if any(c.isspace() for _, value, _ in tokens for c in value) or any(
+            start + len(value) == following
+            for (_, value, start), (_, _, following) in zip(tokens, tokens[1:])):
+        return False
+    shape = "".join(_shape_symbol(kind, value) for kind, value, _ in tokens)
+    return bool(_PLAIN_SHAPE.fullmatch(shape))
+
+
+def _full_outcome(text, base_prefix):
+    try:
+        return _Parser(text, base_prefix).parse()
+    except ParseError:
+        return None
+
+
+# the soup's tokens, keywords in several cases, and near misses of the plain shape
+_FAST_PATH_TERMS = _SOUP_TOKENS + (
+    "?v0", "?x.", "A", "p", "foo-bar", "_", "<p>", "<a<b>", '"v"', '""', '"a b"',
+    '"a\\"b"', '"a\\nb"', "<u\u2003v>", "@en", "SELECT*{?s<p>?o}", "select", "Select",
+    "where", "limit", "filter", "optional", "union", "Union", "distinct", "prefix",
+    "CONSTRUCT", "ask", "Exists", "not", "offset", "Reduced", "GRAPH", "Bind",
+)
+_plain_subjects = st.sampled_from(
+    ("?x", "$y", "<http://ex/p>", "Person", "foo-bar", "_", "A", '"v"'))
+_plain_objects = st.sampled_from(
+    ("?x", "$y", "<http://ex/p>", "Person", "foo-bar", "_", "A", '"v"', '""', "a"))
+
+
+def _edited(plain, edits):
+    """``plain``'s tokens with each edit's token put in place of, or in
+    front of, the token at its index (modulo the length, the end included)."""
+    tokens = list(plain)
+    for index, token, replace in edits:
+        index %= len(tokens) + 1
+        tokens[index:index + replace] = [token]
+    return tokens
+
+
+# plain texts, then the same with one or two tokens replaced or inserted
+_fast_path_tokens = st.builds(
+    _edited,
+    st.builds(
+        lambda select, head, where, triples, last_dot: [
+            select, *head, where, "{", *(token for triple in triples for token in (*triple, "."))
+        ][:None if last_dot else -1] + ["}"],
+        st.sampled_from(("SELECT",) * 6 + ("select", "Select")),
+        st.lists(st.sampled_from(("?x", "$y", "?v0")), min_size=1, max_size=3),
+        st.sampled_from(("WHERE",) * 6 + ("where", "Where")),
+        st.lists(st.tuples(_plain_subjects, st.one_of(st.just("a"), _plain_subjects),
+                           _plain_objects), min_size=1, max_size=4),
+        st.booleans(),
+    ),
+    st.one_of(st.just(()), st.lists(st.tuples(
+        st.integers(0, 30), st.one_of(st.sampled_from(_FAST_PATH_TERMS), _spaced_iris),
+        st.booleans()), min_size=1, max_size=2)),
+)
+_fast_path_space = st.sampled_from((" ",) * 20 + ("\t", "\n  ", "", "\u00a0", "\u2003",
+                                                  "\u2028", "\x0c", "\u3000"))
+_edited_texts = st.builds(lambda tokens, spaces: "".join(t + w for t, w in zip(tokens, spaces)),
+                          _fast_path_tokens, st.lists(_fast_path_space, min_size=30, max_size=30))
+_fast_path_texts = st.one_of(
+    _edited_texts,
+    _edited_texts,
+    _soup_texts,
+    st.sampled_from([text for text, _ in _conformance_corpus()]),
+)
+
+
+@settings(max_examples=400)
+@example(["SELECT*{?s<p>?o}", "SELECT ?o WHERE { SELECT*{?s<p>?o} <p> ?o }"], None)
+@example(["SELECT ?x WHERE { ?x a Person } LIMIT 5"], None)
+@example(["select ?x where { ?x a Person }"], None)
+@example(['SELECT ?x WHERE { "v" <p> ?x }'], None)
+@given(st.lists(_fast_path_texts, min_size=1, max_size=6),
+       st.sampled_from((None, "", "http://ex.org/")))
+def test_fast_path_gives_up_or_returns_the_full_parsers_patterns(texts, base_prefix):
+    shared = {}
+    for text in texts:
+        full = _full_outcome(text, base_prefix)
+        for table in (shared, {}):
+            fast = _fast_patterns(text, base_prefix, table)
+            assert fast is None or fast == full
+            # it takes exactly the plain shape, and builds the objects the full
+            # parser finds in the same table
+            assert (fast is not None) == _plain_shape(text)
+            if fast is not None:
+                again = _Parser(text, base_prefix, table).parse()
+                assert all(mine is theirs for mine, theirs in zip(fast, again))
+        # as in a load, each accepted text becomes a key of the shared table
+        try:
+            parse_query(text, base_prefix=base_prefix, intern=shared)
+        except ParseError:
+            pass

@@ -1,14 +1,19 @@
+import importlib
+from pathlib import Path
 from urllib.parse import quote
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isummary import parser
 from isummary.parser import parse_query
 from isummary.terms import RDF_TYPE, iri, literal
 from isummary.workload import EmptyWorkload, IoError, WorkloadStore, load_workload
 
-from conftest import UNIVERSITY_QUERIES, collapsed_concrete_nodes, store_from_texts
+from conftest import UNIVERSITY_FILE, UNIVERSITY_QUERIES, collapsed_concrete_nodes, store_from_texts
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_load_raw_lines(university_file):
@@ -150,6 +155,59 @@ def test_rejection_warnings_rate_limited(tmp_path, caplog):
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 21
     assert "50" in warnings[-1].getMessage()
+
+
+_KEYWORDS = ("CONSTRUCT", "ASK", "DESCRIBE", "BIND", "VALUES", "GRAPH", "SERVICE")
+_KEYWORD_ROWS = "".join(f"2\t{word} {{ ?x ?y ?z }}\n" * (8 - i) for i, word in enumerate(_KEYWORDS))
+
+
+@pytest.mark.parametrize("text, tsv_column, rejected, histogram", [
+    ("SELECT ?x WHERE {?x <p>+ ?y}\n" * 12 + "not sparql\n" * 18 + "SELECT ?x WHERE {?x a P}\n",
+     None, 30,
+     "18 'expected SELECT', 12 'property paths are not supported'"),
+    # at most five reasons, then how many others; a tsv row without a query has its own
+    ("id\tquery\n" + "1\n" * 10 + _KEYWORD_ROWS + "3\tSELECT ?x WHERE {?x a P}\n", 1, 45,
+     "10 'row has no query in column 1', 8 'unsupported construct: CONSTRUCT', "
+     "7 'unsupported construct: ASK', 6 'unsupported construct: DESCRIBE', "
+     "5 'unsupported construct: BIND', 3 other reasons"),
+], ids=["two-reasons", "five-reasons-then-others"])
+def test_closing_warning_counts_rejections_per_reason(tmp_path, caplog, text, tsv_column,
+                                                      rejected, histogram):
+    path = tmp_path / "log.txt"
+    path.write_text(text, encoding="utf-8")
+    with caplog.at_level("WARNING", logger="isummary.workload"):
+        store = load_workload(path, format="raw-lines" if tsv_column is None else "tsv",
+                              tsv_column=tsv_column)
+    assert store.rejected_count == rejected
+    closing = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"][-1]
+    assert closing.endswith(f"logged at DEBUG; by reason: {histogram}")
+
+
+def _load_outcome(path, caplog):
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="isummary.workload"):
+        store = load_workload(path, format="raw-lines", base_prefix="http://example.org/isummary/")
+    queries = [(q.id, q.source_line, q.patterns) for q in store.queries]
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    # within one load, a term or triple that two queries share is one object
+    first = {}
+    for query in store.queries:
+        for pattern in query.patterns:
+            assert all(first.setdefault(part, part) is part for part in (pattern, *pattern))
+    return queries, store.rejected_count, warnings
+
+
+def test_load_is_the_same_when_the_fast_path_always_gives_up(tmp_path, monkeypatch, caplog):
+    monkeypatch.syspath_prepend(str(BENCH))
+    gen = importlib.import_module("gen")
+    gen.summarize_inputs(1, tmp_path, n_queries=2000)  # 10% rich records, 2% rejected
+    path = tmp_path / "mixed.txt"
+    path.write_text(UNIVERSITY_FILE.read_text(encoding="utf-8")
+                    + (tmp_path / "log.txt").read_text(encoding="utf-8"), encoding="utf-8")
+    fast = _load_outcome(path, caplog)
+    monkeypatch.setattr(parser, "_fast_patterns", lambda *args: None)
+    assert _load_outcome(path, caplog) == fast
+    assert fast[1] == 40 and len(fast[0]) == 2005
 
 
 def test_urlencoded_lines(tmp_path):
