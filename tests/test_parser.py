@@ -513,6 +513,7 @@ _fast_path_tokens = st.builds(
 )
 _fast_path_space = st.sampled_from((" ",) * 20 + ("\t", "\n  ", "", "\u00a0", "\u2003",
                                                   "\u2028", "\x0c", "\u3000"))
+# each token takes the space after it; 30 is more than any drawn text has tokens
 _edited_texts = st.builds(lambda tokens, spaces: "".join(t + w for t, w in zip(tokens, spaces)),
                           _fast_path_tokens, st.lists(_fast_path_space, min_size=30, max_size=30))
 _fast_path_texts = st.one_of(
