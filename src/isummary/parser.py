@@ -436,8 +436,9 @@ _TOKEN_MEMO = object()
 
 
 def _token_term(token: str, base_prefix: str, table: dict):
-    """The term ``token`` denotes as a subject or object, or False when the
-    fast path leaves it to the full parser."""
+    """The term ``token`` denotes in any position of a triple, or False when
+    the fast path leaves it to the full parser; the caller reads ``a`` as a
+    predicate."""
     if _VAR(token):
         key = (VARIABLE, token[1:], None)
     elif _IRIREF(token):
