@@ -151,11 +151,39 @@ def test_oracle_reads_instance_directory(tmp_path):
     assert lines[1].startswith("tiny.txt,3,2,")
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param("3 2 1 2\n0 0.5 1\n0 1\n1 2\n", id="truncated"),
+    pytest.param("3 2 1 2\n0 0.5 x\n0 1\n1 2\n0\n", id="non-numeric"),
+    pytest.param("3 2 1 2\n0 0.5 1\n0 1\n1 2\n0 9\n", id="trailing"),
+    pytest.param("3 2 1 4\n0 0.5 1\n0 1\n1 2\n0\n", id="k-above-n"),
+    pytest.param("3 2 2 1\n0 0.5 1\n0 1\n1 2\n0 1\n", id="k-below-terminals"),
+    pytest.param("3 2 1 2\n0 nan 1\n0 1\n1 2\n0\n", id="nan-weight"),
+    pytest.param("3 2 1 2\n0 inf 1\n0 1\n1 2\n0\n", id="inf-weight"),
+    pytest.param(None, id="unreadable"),
+])
+def test_oracle_malformed_instance_file_is_data_error(content, tmp_path, capsys):
+    instances = tmp_path / "instances"
+    instances.mkdir()
+    bad = instances / "bad.txt"
+    if content is None:
+        bad.mkdir()  # reading a directory raises an OSError, even for root
+    else:
+        bad.write_text(content, encoding="utf-8")
+    out = tmp_path / "oracle.csv"
+    code = main(["oracle", "--instances", str(instances), "--trials", "0", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "bad.txt" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("options", [
     ["--skew", "-2"],
     ["--mean-patterns", "-1"],
     ["--mean-patterns", "0.5"],
     ["--n-queries", "0"],
+    ["--skew", "nan"],
+    ["--mean-patterns", "nan"],
 ])
 def test_synth_bad_spec_exits_two_before_writing(options, tmp_path, capsys):
     out = tmp_path / "log.txt"

@@ -30,6 +30,13 @@ def test_graph_validation():
         WeightedGraph((1.0, 1.0), ((0, 5),))
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_graph_rejects_non_finite_weights(weight):
+    # NaN passes a `w < 0` check; an infinite weight makes the normalized costs NaN
+    with pytest.raises(ValueError):
+        WeightedGraph((1.0, weight), ((0, 1),))
+
+
 def test_instance_validation():
     g = path_graph([1, 1, 1])
     with pytest.raises(ValueError):

@@ -20,6 +20,14 @@ def test_spec_validation():
         SyntheticSpec(n_queries=10, mean_patterns=0.5)
 
 
+@pytest.mark.parametrize("field", ["skew", "mean_patterns"])
+def test_spec_rejects_nan(field):
+    # every comparison with NaN is false, so a check written as `value < bound`
+    # lets it through
+    with pytest.raises(ValueError):
+        SyntheticSpec(n_queries=10, **{field: float("nan")})
+
+
 def test_every_query_parses():
     spec = SyntheticSpec(n_queries=500, classes=20, predicates=40, instances=200, rng_seed=3)
     for text in iter_queries(spec):
