@@ -245,7 +245,10 @@ def _oracle_rows(args):
         if not directory.is_dir():
             raise workload.IoError(f"not a directory: {directory}")
         for file in sorted(directory.glob("*.txt")):
-            instances.append((file.name, steiner.read_instance(file)))
+            try:
+                instances.append((file.name, steiner.read_instance(file)))
+            except (OSError, ValueError) as exc:
+                raise workload.IoError(f"cannot read instance file {file}: {exc}") from exc
     rng = XorShift64Star(args.rng)
     for trial in range(args.trials):
         instances.append((f"random-{trial}", steiner.random_instance(rng)))

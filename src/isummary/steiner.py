@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +37,7 @@ class Disconnected(Exception):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected graph with a non-negative preference weight per node."""
+    """Undirected graph with a finite, non-negative preference weight per node."""
 
     weights: tuple[float, ...]
     edges: tuple[tuple[int, int], ...]
@@ -45,8 +46,9 @@ class WeightedGraph:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
         n = len(self.weights)
-        if any(w < 0 for w in self.weights):
-            raise ValueError("node weights must be non-negative")
+        # NaN fails the comparison too
+        if not all(0 <= w < math.inf for w in self.weights):
+            raise ValueError("node weights must be finite and non-negative")
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
@@ -227,12 +229,17 @@ def tree_cost(costs, tree: Tree) -> float:
 
 
 def read_instance(path) -> SteinerInstance:
-    """Parse the whitespace-separated fixture format: n m t k, weights, edges, terminals."""
+    """Parse the whitespace-separated fixture format: n m t k, weights, edges, terminals.
+
+    A truncated, non-numeric or over-long file, or one that is no valid
+    instance, raises ValueError."""
     tokens = Path(path).read_text(encoding="utf-8").split()
     pos = 0
 
     def take():
         nonlocal pos
+        if pos == len(tokens):
+            raise ValueError("the file ends early")
         value = tokens[pos]
         pos += 1
         return value
@@ -242,7 +249,7 @@ def read_instance(path) -> SteinerInstance:
     edges = tuple((int(take()), int(take())) for _ in range(m))
     terminals = frozenset(int(take()) for _ in range(t))
     if pos != len(tokens):
-        raise ValueError(f"trailing tokens in instance file {path}")
+        raise ValueError("trailing tokens after the terminals")
     return SteinerInstance(WeightedGraph(weights, edges), terminals, k)
 
 

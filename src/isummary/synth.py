@@ -30,9 +30,10 @@ class SyntheticSpec:
         for name in ("n_queries", "classes", "predicates", "instances"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.skew < 0:
+        # written so that NaN, which fails every comparison, fails them too
+        if not self.skew >= 0:
             raise ValueError("skew must be >= 0")
-        if self.mean_patterns < 1:
+        if not self.mean_patterns >= 1:
             raise ValueError("mean_patterns must be >= 1")
 
 
