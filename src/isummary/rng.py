@@ -99,8 +99,8 @@ class XorShift64Star:
             raise ValueError("randrange bound must be positive")
         return self.next_u64() % n
 
-    # shuffle_tail and sample inline the next_u64 step: a method call per draw
-    # costs more than the step itself, and a fold shuffles thousands of ids
+    # shuffle_tail inlines the next_u64 step: a method call per draw costs more
+    # than the step itself, and a fold shuffles thousands of ids
 
     def shuffle_tail(self, xs, count: int) -> None:
         """Shuffle so that the last ``count`` items of ``xs`` and the state are
@@ -124,12 +124,7 @@ class XorShift64Star:
             raise ValueError("sample size out of range")
         pool = list(xs)
         n = len(pool)
-        x = self._state
         for i in range(k):
-            x ^= x >> 12
-            x = (x ^ (x << 25)) & _MASK64
-            x ^= x >> 27
-            j = i + ((x * 0x2545F4914F6CDD1D) & _MASK64) % (n - i)
+            j = i + self.randrange(n - i)
             pool[i], pool[j] = pool[j], pool[i]
-        self._state = x
         return pool[:k]
