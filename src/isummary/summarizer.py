@@ -123,6 +123,11 @@ def select_top_nodes(
     return ranked[:count]
 
 
+def _holders(store: WorkloadStore, relevant_ids: Iterable[int], term: Term) -> set[int]:
+    """The relevant ids whose queries hold ``term``; they must be member ids of ``store``."""
+    return store.term_index.get(term, set()).intersection(relevant_ids)
+
+
 def link(
     store: WorkloadStore,
     relevant_ids: Iterable[int],
@@ -131,21 +136,20 @@ def link(
 ) -> PathSignature | None:
     """Most frequent shortest query path linking ``x`` to any visited node.
 
-    Path frequencies accumulate across all visited partners and all queries;
+    Reads only the relevant queries that hold ``x``, each with one path per
+    visited node of its graph.  Frequencies accumulate across all of them;
     ties break by shorter length, then least signature.  Returns None when no
-    relevant query connects ``x`` to the summary.  ``relevant_ids`` given as
-    a set is used as it is.
+    relevant query connects ``x`` to the summary.  ``relevant_ids`` is any
+    iterable of member ids of ``store``; a set is read without a copy.
     """
     if not visited:
         raise ValueError("visited set must be non-empty")
-    if x in visited:
+    partners = set(visited)
+    if x in partners:
         raise ValueError("node to link is already in the summary")
-    relevant = relevant_ids if isinstance(relevant_ids, (set, frozenset)) else set(relevant_ids)
     tally: Counter = Counter()
-    for y in visited:
-        for qid in store.filter((x, y)):
-            if qid not in relevant:
-                continue
+    for qid in _holders(store, relevant_ids, x):
+        for y in store.node_terms(qid) & partners:
             signature = shortest_path(store.graph(qid), x, y)
             if signature is not None:
                 tally[signature] += 1
@@ -250,19 +254,16 @@ def resolve_variables(
 
 
 def _relevant_ids(store: WorkloadStore, seeds: Sequence[Term]):
-    """Queries containing all seeds, with a per-seed union fallback for λ > 1."""
+    """Member ids (a set) of the queries holding all seeds, else for λ > 1 the per-seed union."""
     warnings: list[SummaryWarning] = []
-    ids = store.filter(seeds)
+    ids = set(store.filter(seeds))
     if not ids and len(seeds) > 1:
-        merged: set[int] = set()
-        for seed in seeds:
-            merged.update(store.filter((seed,)))
-        if merged:
+        ids = set().union(*(store.filter((seed,)) for seed in seeds))
+        if ids:
             warnings.append(SummaryWarning(
                 MULTI_SEED_FALLBACK,
                 "no query contains every seed; using the per-seed union",
             ))
-        ids = sorted(merged)
     if not ids:
         raise NoRelevantQueries(
             "no workload query contains " + ", ".join(s.to_sparql() for s in seeds)
@@ -276,10 +277,9 @@ def _greedy_summary(store, request, relevant, warnings):
     blanks = itertools.count()
     nodes: list[tuple[Term, int]] = [(seed, len(relevant)) for seed in request.seeds]
     visited: list[Term] = [request.seeds[0]]
-    relevant_set = set(relevant)
 
     def attach(term):
-        signature = link(store, relevant_set, term, visited)
+        signature = link(store, relevant, term, visited)
         if signature is None:
             warnings.append(SummaryWarning(
                 ISOLATED_NODE,
@@ -314,7 +314,15 @@ def _name_blind_key(edge: TriplePattern) -> tuple:
     return tuple([canon(t).sort_key() for t in edge])
 
 
+def _incident_edges(store: WorkloadStore, relevant: Iterable[int], term: Term) -> set:
+    """The edges at ``term`` in the graphs of the relevant queries that hold it."""
+    return {e for qid in _holders(store, relevant, term)
+            for e in store.graph(qid).edges if term in (e.subject, e.object)}
+
+
 def _random_summary(store, request, relevant, warnings):
+    """Name-blind draws from the pinned stream: nodes, then one edge at each from
+    ``_incident_edges``; ``relevant`` is a set of member ids of ``store``."""
     rng = XorShift64Star(request.random_seed)
     freq = node_frequencies(store, relevant, exclude=request.seeds)
     pool = sorted(freq, key=Term.sort_key)
@@ -330,22 +338,12 @@ def _random_summary(store, request, relevant, warnings):
     selected = sorted(((t, freq[t]) for t in chosen), key=lambda kv: (-kv[1], kv[0].sort_key()))
     nodes = [(seed, len(relevant)) for seed in request.seeds] + selected
 
-    incident: dict[Term, set] = {t: set() for t in chosen}
-    if chosen:
-        wanted = set(chosen)
-        for qid in relevant:
-            for edge in store.graph(qid).edges:
-                if edge.subject in wanted:
-                    incident[edge.subject].add(edge)
-                if edge.object in wanted:
-                    incident[edge.object].add(edge)
-
     triples: dict[TriplePattern, None] = {}
     blanks = itertools.count()
     for term, _ in selected:
         # edges equal up to variable renaming are one candidate, ordered by a
         # key blind to variable names, so names cannot sway the draw
-        candidates = {_name_blind_key(e): e for e in incident[term]}
+        candidates = {_name_blind_key(e): e for e in _incident_edges(store, relevant, term)}
         if not candidates:
             warnings.append(SummaryWarning(
                 ISOLATED_NODE,

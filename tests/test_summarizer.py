@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from isummary import summarizer
 from isummary.query_graph import FORWARD, shortest_path
 from isummary.summarizer import (
     BUDGET_SHORTFALL,
@@ -617,6 +618,59 @@ def test_name_blind_key_orders_and_groups_as_int_numbering(edges):
             assert (a_new < b_new) == (a_old < b_old)
     assert sorted(range(len(edges)), key=new.__getitem__) == sorted(
         range(len(edges)), key=old.__getitem__)
+
+
+# typed variables (type collapse makes a class an edge end), literals, blank
+# labels and variable predicates
+_EDGE_SUBJECTS = ["A", "B", "_:b", "?x", "?y"]
+_EDGE_PREDICATES = ["p", "q", "a", "?v", "?x"]
+_EDGE_OBJECTS = ["A", "B", "C", '"l"', "7", "_:b", "?x", "?y"]
+
+_edge_logs = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(_EDGE_SUBJECTS), st.sampled_from(_EDGE_PREDICATES),
+                  st.sampled_from(_EDGE_OBJECTS)),
+        min_size=1, max_size=5,
+    ).map(lambda ps: "SELECT * WHERE {" + " . ".join(" ".join(p) for p in ps) + "}"),
+    min_size=1, max_size=8,
+)
+
+
+def _walk_every_relevant_graph(store, relevant, term):
+    """Oracle: the random baseline's edges at ``term`` as first gathered, by a
+    walk of every relevant graph that checks both edge ends."""
+    edges = set()
+    for qid in relevant:
+        for edge in store.graph(qid).edges:
+            if edge.subject == term or edge.object == term:
+                edges.add(edge)
+    return edges
+
+
+def _random_outcome(store, request):
+    try:
+        summary = summarize(store, request)
+    except NoRelevantQueries:
+        return "NoRelevantQueries"
+    return summary.triples, summary.nodes, summary.warnings
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), texts=_edge_logs)
+def test_random_summary_matches_a_walk_of_every_relevant_graph(data, texts):
+    store = store_from_texts(texts)
+    if data.draw(st.booleans(), label="view"):
+        store = store.subset(data.draw(st.lists(st.sampled_from(store.ids()), min_size=1)))
+    seeds = data.draw(st.lists(st.sampled_from(sorted(store.term_index, key=Term.sort_key)),
+                               min_size=1, max_size=2, unique=True))
+    request = SummaryRequest(
+        tuple(seeds), len(seeds) + data.draw(st.integers(0, 5)), "random",
+        random_seed=data.draw(st.integers(0, 2**64 - 1)),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(summarizer, "_incident_edges", _walk_every_relevant_graph)
+        reference = _random_outcome(store, request)
+    assert _random_outcome(store, request) == reference
 
 
 def test_random_strategy_grounds_variables(university_store):
