@@ -661,10 +661,11 @@ def test_random_summary_matches_a_walk_of_every_relevant_graph(data, texts):
     store = store_from_texts(texts)
     if data.draw(st.booleans(), label="view"):
         store = store.subset(data.draw(st.lists(st.sampled_from(store.ids()), min_size=1)))
+    assume(store.term_index)
     seeds = data.draw(st.lists(st.sampled_from(sorted(store.term_index, key=Term.sort_key)),
                                min_size=1, max_size=2, unique=True))
     request = SummaryRequest(
-        tuple(seeds), len(seeds) + data.draw(st.integers(0, 5)), "random",
+        tuple(seeds), len(seeds) + data.draw(st.integers(1, 5)), "random",
         random_seed=data.draw(st.integers(0, 2**64 - 1)),
     )
     with pytest.MonkeyPatch.context() as patch:
