@@ -46,7 +46,6 @@ class WeightedGraph:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
         n = len(self.weights)
-        # NaN fails the comparison too
         if not all(0 <= w < math.inf for w in self.weights):
             raise ValueError("node weights must be finite and non-negative")
         for u, v in self.edges:
@@ -229,10 +228,8 @@ def tree_cost(costs, tree: Tree) -> float:
 
 
 def read_instance(path) -> SteinerInstance:
-    """Parse the whitespace-separated fixture format: n m t k, weights, edges, terminals.
-
-    A truncated, non-numeric or over-long file, or one that is no valid
-    instance, raises ValueError."""
+    """Parse the whitespace-separated fixture format: n m t k, weights, edges,
+    terminals.  A malformed file raises ValueError."""
     tokens = Path(path).read_text(encoding="utf-8").split()
     pos = 0
 
