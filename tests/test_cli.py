@@ -184,6 +184,8 @@ def test_oracle_malformed_instance_file_is_data_error(content, tmp_path, capsys)
     ["--n-queries", "0"],
     ["--skew", "nan"],
     ["--mean-patterns", "nan"],
+    ["--skew", "inf"],
+    ["--mean-patterns", "inf"],
 ])
 def test_synth_bad_spec_exits_two_before_writing(options, tmp_path, capsys):
     out = tmp_path / "log.txt"

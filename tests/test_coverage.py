@@ -299,6 +299,20 @@ def test_evaluate_csv_format():
     assert all(len(cell.split(".")[-1]) == 6 for cell in first[5:])
 
 
+@pytest.mark.parametrize("text, drawn", [
+    ("SELECT * WHERE {?x p ?y}", 0),  # no node term, so an empty seed pool
+    ("SELECT ?x WHERE {?x a Person}", 1),
+], ids=["empty-pool", "one-term-pool"])
+def test_evaluate_warns_on_every_seed_shortfall_with_its_fold(text, drawn):
+    store = store_from_texts([text] * 10)
+    config = CoverageConfig(folds=2, sample_seeds=3, rng_seed=0)
+    result = evaluate(store, config, [1], ["isummary"])
+    assert len(result.rows) == 2 * drawn
+    assert [w for w in result.warnings if w.startswith(SEED_SAMPLING_SHORTFALL)] == [
+        f"{SEED_SAMPLING_SHORTFALL}: drew {drawn} of 3 seeds in fold {fold}" for fold in (0, 1)
+    ]
+
+
 def test_evaluate_insufficient_workload(university_store):
     config = CoverageConfig(folds=1, sample_seeds=1, split_ratio=0.05, rng_seed=0)
     with pytest.raises(InsufficientWorkload):

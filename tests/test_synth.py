@@ -28,6 +28,13 @@ def test_spec_rejects_nan(field):
         SyntheticSpec(n_queries=10, **{field: float("nan")})
 
 
+@pytest.mark.parametrize("field", ["skew", "mean_patterns"])
+def test_spec_rejects_infinity(field):
+    # an infinite skew draws only Class0, an infinite mean only capped queries
+    with pytest.raises(ValueError):
+        SyntheticSpec(n_queries=10, **{field: float("inf")})
+
+
 def test_every_query_parses():
     spec = SyntheticSpec(n_queries=500, classes=20, predicates=40, instances=200, rng_seed=3)
     for text in iter_queries(spec):
