@@ -160,8 +160,9 @@ def _seed_pool(counts: Counter, order: list[Term], test: WorkloadStore) -> list[
 
 
 def _sample_seed_terms(pool: Sequence[Term], test: WorkloadStore, count: int,
-                       rng: XorShift64Star, warnings: list[str]) -> list[Term]:
-    """Seed terms drawn from ``pool`` (see ``_seed_pool``) that occur in test queries."""
+                       rng: XorShift64Star) -> list[Term]:
+    """At most ``count`` seed terms drawn from ``pool`` (see ``_seed_pool``)
+    that occur in test queries."""
     if not pool:
         return []
     chosen: list[Term] = []
@@ -175,10 +176,6 @@ def _sample_seed_terms(pool: Sequence[Term], test: WorkloadStore, count: int,
             continue
         picked.add(candidate)
         chosen.append(candidate)
-    if len(chosen) < count:
-        warnings.append(
-            f"{SEED_SAMPLING_SHORTFALL}: drew {len(chosen)} of {count} seeds in fold"
-        )
     return chosen
 
 
@@ -219,7 +216,10 @@ def evaluate(
         train = store.subset(train_ids)
         test = store.subset(test_ids)
         seeds = _sample_seed_terms(_seed_pool(counts, order, test), test,
-                                   config.sample_seeds, rng, warnings)
+                                   config.sample_seeds, rng)
+        if len(seeds) < config.sample_seeds:
+            warnings.append(f"{SEED_SAMPLING_SHORTFALL}: drew {len(seeds)} of"
+                            f" {config.sample_seeds} seeds in fold {fold}")
 
         fold_rows: list[EvalRow] = []
         for seed in seeds:

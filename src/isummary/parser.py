@@ -64,6 +64,10 @@ _REJECTED_KEYWORDS = {
     "BASE", "ASK", "CONSTRUCT", "DESCRIBE", "MINUS", "BIND", "VALUES",
     "GRAPH", "SERVICE", "ORDER", "GROUP", "HAVING", "INSERT", "DELETE",
 }
+# Keywords that a bare name in a term position may not spell.
+_TERM_KEYWORDS = _REJECTED_KEYWORDS | {
+    "FILTER", "OPTIONAL", "UNION", "SELECT", "WHERE", "PREFIX",
+}
 
 # Nested groups recurse once per '{'.  Deep nesting would exhaust the Python
 # stack, and because nesting is flattened into one pattern list, a cap loses
@@ -319,10 +323,7 @@ class _Parser:
         if kind == "VAR":
             return self._term(tok, VARIABLE, value[1:])
         if kind == "NAME":
-            upper = value.upper()
-            if upper in _REJECTED_KEYWORDS or upper in (
-                "FILTER", "OPTIONAL", "UNION", "SELECT", "WHERE", "PREFIX",
-            ):
+            if value.upper() in _TERM_KEYWORDS:
                 self._error(f"unsupported construct: {value}", tok)
             return self._term_from_name(tok)
         if kind == "IRIREF":
@@ -421,10 +422,7 @@ class _Parser:
 
 # Every keyword the grammar reads; a bare name spelling one, in any case,
 # sends the text to the full parser.
-_KEYWORDS = _REJECTED_KEYWORDS | {
-    "SELECT", "WHERE", "PREFIX", "FILTER", "OPTIONAL", "UNION", "DISTINCT",
-    "REDUCED", "LIMIT", "OFFSET", "EXISTS", "NOT",
-}
+_KEYWORDS = _TERM_KEYWORDS | {"DISTINCT", "REDUCED", "LIMIT", "OFFSET", "EXISTS", "NOT"}
 _VAR = re.compile(r"[?$][A-Za-z_][A-Za-z0-9_]*").fullmatch
 _IRIREF = re.compile(r'<[^<>"{}|^`\\\x00-\x20]+>').fullmatch
 _BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*").fullmatch

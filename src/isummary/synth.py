@@ -8,6 +8,7 @@ every emitted query parses under the package's own grammar.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -31,10 +32,10 @@ class SyntheticSpec:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         # written so that NaN, which fails every comparison, fails them too
-        if not self.skew >= 0:
-            raise ValueError("skew must be >= 0")
-        if not self.mean_patterns >= 1:
-            raise ValueError("mean_patterns must be >= 1")
+        if not 0 <= self.skew < math.inf:
+            raise ValueError("skew must be finite and >= 0")
+        if not 1 <= self.mean_patterns < math.inf:
+            raise ValueError("mean_patterns must be finite and >= 1")
 
 
 class ZipfSampler:

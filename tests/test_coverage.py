@@ -241,10 +241,8 @@ def test_sampled_seeds_occur_in_test_part():
     counts = node_frequencies(store, store.ids())
     pool = _seed_pool(counts, sorted(counts, key=Term.sort_key), test)
     for rng_seed in range(20):
-        warnings = []
-        chosen = _sample_seed_terms(pool, test, 2, XorShift64Star(rng_seed), warnings)
-        assert chosen == [PERSON]
-        assert warnings and warnings[0].startswith(SEED_SAMPLING_SHORTFALL)
+        # a shortfall: evaluate warns for it
+        assert _sample_seed_terms(pool, test, 2, XorShift64Star(rng_seed)) == [PERSON]
 
 
 def _old_seed_pool(train):
