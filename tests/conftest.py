@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,14 @@ from isummary.workload import WorkloadStore
 
 FIXTURES = Path(__file__).parent / "fixtures"
 UNIVERSITY_FILE = FIXTURES / "university_workload.txt"
+BENCH_ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+
+# The benchmark's oracle, loaded by path so that no bench module lands on
+# sys.path.  It imports nothing from the package and reads terms and triple
+# patterns as the plain tuples they are.
+_spec = importlib.util.spec_from_file_location("bench_oracle", BENCH_ORACLE)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 # The five-query university workload used as the running fixture.
 UNIVERSITY_QUERIES = [
@@ -28,7 +37,27 @@ def store_from_texts(texts):
     return WorkloadStore(queries)
 
 
-_RDF_TYPE = ("iri", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type", None)
+def _random_store(rng, n_queries):
+    vocab_classes = [f"C{i}" for i in range(6)]
+    vocab_preds = [f"p{i}" for i in range(5)]
+    texts = []
+    for _ in range(n_queries):
+        length = 1 + rng.randrange(4)
+        parts = []
+        var = 0
+        for _ in range(length):
+            roll = rng.random()
+            if roll < 0.4:
+                parts.append(f"?v{var} a {vocab_classes[rng.randrange(6)]}")
+            elif roll < 0.7:
+                parts.append(f"?v{var} {vocab_preds[rng.randrange(5)]} ?v{var + 1}")
+                var += 1
+            else:
+                parts.append(
+                    f"?v{var} {vocab_preds[rng.randrange(5)]} E{rng.randrange(8)}"
+                )
+        texts.append("SELECT ?v0 WHERE { " + " . ".join(parts) + " }")
+    return store_from_texts(texts)
 
 
 def collapsed_nodes(query):
@@ -37,19 +66,16 @@ def collapsed_nodes(query):
 
     A variable with rdf:type patterns naming IRIs is relabeled by its least
     class (by IRI text); each pattern's relabeled subject and object is a
-    node.  Its concrete part must be the store's node terms: type collapse
-    never adds or removes a concrete node.
+    node.  Its concrete part is ``oracle.collapse``'s node set, which must be
+    the store's node terms: type collapse never adds or removes a concrete
+    node.
     """
     classes = {}
     for subject, predicate, obj in query.patterns:
-        if predicate == _RDF_TYPE and subject.kind == "variable" and obj.kind == "iri":
+        if predicate == oracle.RDF_TYPE and subject.kind == "variable" and obj.kind == "iri":
             classes.setdefault(subject, []).append(obj)
     relabel = {v: min(cs, key=lambda c: c.lexical) for v, cs in classes.items()}
     return {relabel.get(t, t) for subject, _, obj in query.patterns for t in (subject, obj)}
-
-
-def collapsed_concrete_nodes(query):
-    return {t for t in collapsed_nodes(query) if t.kind != "variable"}
 
 
 @pytest.fixture(scope="session")

@@ -26,9 +26,10 @@ from isummary.workload import load_workload
 
 from conftest import (
     UNIVERSITY_QUERIES,
-    collapsed_concrete_nodes,
+    _random_store,
     collapsed_nodes,
     generate_synthetic,
+    oracle,
     store_from_texts,
 )
 from test_metamorphic import _OBJECTS, _PREDICATES, _SUBJECTS, _texts
@@ -152,66 +153,6 @@ def test_containing_whole_query_graph_is_full_coverage(university_store):
     assert report.per_query[0][3] == 1.0
 
 
-# -- brute-force oracle --------------------------------------------------------
-
-def brute_force_coverage(summary, test_store, seeds, config):
-    """Naive re-implementation: linear scans, no term index, no caching."""
-    summary_terms = set()
-    for term, _ in summary.nodes:
-        summary_terms.add(term)
-    for triple in summary.triples:
-        summary_terms.update(triple.terms())
-
-    values = []
-    for query in test_store.queries:
-        present = set()
-        for pattern in query.patterns:
-            present.update(pattern.terms())
-        if any(seed not in present for seed in seeds):
-            continue
-        nodes = collapsed_concrete_nodes(query)
-        edges = [e for e in build_graph(query).edges if e.predicate.concrete]
-        hit_nodes = sum(1 for n in nodes if n in summary_terms)
-        hit_edges = 0
-        for edge in edges:
-            for triple in summary.triples:
-                if triple.predicate != edge.predicate:
-                    continue
-                if edge.subject.concrete and edge.subject != triple.subject:
-                    continue
-                if edge.object.concrete and edge.object != triple.object:
-                    continue
-                hit_edges += 1
-                break
-        node_fraction = hit_nodes / len(nodes) if nodes else 0.0
-        edge_fraction = hit_edges / len(edges) if edges else 0.0
-        values.append(config.w_node * node_fraction + config.w_edge * edge_fraction)
-    return (sum(values) / len(values) if values else 0.0), len(values)
-
-
-def _random_store(rng, n_queries):
-    vocab_classes = [f"C{i}" for i in range(6)]
-    vocab_preds = [f"p{i}" for i in range(5)]
-    texts = []
-    for _ in range(n_queries):
-        length = 1 + rng.randrange(4)
-        parts = []
-        var = 0
-        for _ in range(length):
-            roll = rng.random()
-            if roll < 0.4:
-                parts.append(f"?v{var} a {vocab_classes[rng.randrange(6)]}")
-            elif roll < 0.7:
-                parts.append(f"?v{var} {vocab_preds[rng.randrange(5)]} ?v{var + 1}")
-                var += 1
-            else:
-                parts.append(
-                    f"?v{var} {vocab_preds[rng.randrange(5)]} E{rng.randrange(8)}"
-                )
-        texts.append("SELECT ?v0 WHERE { " + " . ".join(parts) + " }")
-    return store_from_texts(texts)
-
-
 # -- evaluate ------------------------------------------------------------------
 
 def small_store():
@@ -245,11 +186,6 @@ def test_sampled_seeds_occur_in_test_part():
         assert _sample_seed_terms(pool, test, 2, XorShift64Star(rng_seed)) == [PERSON]
 
 
-def _old_seed_pool(train):
-    """The seed pool as each fold once built it: the train part's node counts, sorted."""
-    return sorted(node_frequencies(train, train.ids()), key=Term.sort_key)
-
-
 # metamorphic logs, where "p" is also an object: a predicate in one query, a node in another
 _pool_logs = st.lists(
     st.lists(
@@ -270,7 +206,10 @@ def test_seed_pool_is_the_train_parts_sorted_nodes(log, test_ids):
     train, test = store.subset(set(store.ids()) - test_ids), store.subset(test_ids)
     counts = node_frequencies(store, store.ids())
     order = sorted(counts, key=Term.sort_key)
-    assert _seed_pool(counts, order, test) == _old_seed_pool(train)
+    # oracle: the seed pool as each fold once built it, the train part's node counts, sorted
+    records = {q.id: q.patterns for q in store.queries}
+    train_counts = oracle.node_frequencies(records, train.ids())
+    assert _seed_pool(counts, order, test) == sorted(train_counts, key=oracle.sort_key)
 
 
 def test_evaluate_deterministic():

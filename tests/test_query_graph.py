@@ -22,7 +22,7 @@ from isummary.rng import XorShift64Star
 from isummary.terms import RDF_TYPE, VARIABLE, Term, TriplePattern, iri, literal, variable
 from isummary.workload import concrete_node_terms
 
-from conftest import collapsed_concrete_nodes, collapsed_nodes
+from conftest import collapsed_nodes, oracle
 
 
 def graph_of(text):
@@ -357,7 +357,7 @@ _small_queries = st.lists(
 def test_shortest_path_matches_enumerator_oracle(tokens):
     query = parse_query("SELECT * WHERE { " + " . ".join(" ".join(t) for t in tokens) + " }")
     graph = build_graph(query)
-    concrete = sorted(collapsed_concrete_nodes(query), key=Term.sort_key)
+    concrete = sorted(oracle.collapse(query.patterns)[0], key=Term.sort_key)
     absent = iri("Absent")
     for x, y in itertools.permutations(concrete + [absent], 2):
         assert shortest_path(graph, x, y) == oracle_shortest_path(graph, x, y), (x, y)

@@ -7,28 +7,14 @@ from hypothesis import strategies as st
 
 from isummary.rng import XorShift64Star, splitmix64
 
+from conftest import oracle
+
 MASK = (1 << 64) - 1
-
-
-def reference_splitmix64(value):
-    # the published constants, applied directly
-    z = (value + 0x9E3779B97F4A7C15) & MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-    return z ^ (z >> 31)
-
-
-def reference_shuffle(rng, xs):
-    # the documented full shuffle, one method call per draw: Fisher-Yates
-    # from the highest index down with j = randrange(i + 1)
-    for i in range(len(xs) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        xs[i], xs[j] = xs[j], xs[i]
 
 
 def test_splitmix_matches_reference():
     for value in (0, 1, 42, 2**63, MASK):
-        assert splitmix64(value) == reference_splitmix64(value)
+        assert splitmix64(value) == oracle._splitmix64(value)
 
 
 def test_stream_is_reproducible_and_pinned():
@@ -85,16 +71,18 @@ def test_large_shuffle_tail_is_pinned():
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=MASK), n=st.integers(min_value=0, max_value=300))
 def test_shuffle_tail_matches_shuffle(seed, n):
-    full = XorShift64Star(seed)
+    # the documented full shuffle, on the oracle's own stream: Fisher-Yates
+    # from the highest index down with j = randrange(i + 1)
+    stream = oracle.Stream(seed)
     xs = list(range(n))
-    reference_shuffle(full, xs)
+    stream.shuffle(xs)
     for count in range(n + 1):
         rng = XorShift64Star(seed)
         ys = list(range(n))
         rng.shuffle_tail(ys, count)
         assert ys[n - count:] == xs[n - count:]
         assert sorted(ys) == list(range(n))
-        assert rng._state == full._state
+        assert rng._state == stream.state
 
 
 def test_shuffle_tail_size_out_of_range():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from isummary import summarizer
 from isummary.query_graph import FORWARD, shortest_path
+from isummary.rng import XorShift64Star
 from isummary.summarizer import (
     BUDGET_SHORTFALL,
     ISOLATED_NODE,
@@ -29,7 +30,13 @@ from isummary.synth import SyntheticSpec
 from isummary.terms import RDF_TYPE, Term, TriplePattern, blank, iri, literal, variable
 from isummary.workload import load_workload
 
-from conftest import UNIVERSITY_QUERIES, generate_synthetic, store_from_texts
+from conftest import (
+    UNIVERSITY_QUERIES,
+    _random_store,
+    generate_synthetic,
+    oracle,
+    store_from_texts,
+)
 
 PERSON = iri("Person")
 ORGANIZATION = iri("Organization")
@@ -91,21 +98,18 @@ def test_top_nodes_counts_queries_not_occurrences(university_store):
     assert top == [(PERSON, 2)]
 
 
-def _top_nodes_full_sort(freq, count):
-    """Oracle: rank every candidate, then cut."""
-    return sorted(freq.items(), key=lambda item: (-item[1], item[0].sort_key()))[:count]
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), texts=_slot_queries)
 def test_select_top_nodes_matches_full_sort(data, texts):
     store = store_from_texts(texts)
     ids = data.draw(st.lists(st.sampled_from(store.ids()), unique=True))
     exclude = data.draw(st.lists(st.sampled_from(_store_nodes(store) + _SLOT_ENDS), unique=True))
-    freq = node_frequencies(store, ids, exclude)
+    # oracle: rank every candidate, then cut
+    ranked = oracle.ranked(oracle.node_frequencies(
+        {q.id: q.patterns for q in store.queries}, ids, exclude))
     # every cut: 0, inside runs of tied counts, and at or past the candidate count
-    for count in range(len(freq) + 2):
-        assert select_top_nodes(store, ids, count, exclude) == _top_nodes_full_sort(freq, count)
+    for count in range(len(ranked) + 2):
+        assert select_top_nodes(store, ids, count, exclude) == ranked[:count]
 
 
 # -- link ----------------------------------------------------------------------
@@ -304,17 +308,6 @@ def test_slot_counts_memo_is_per_view(data, texts, root_first):
 
 # -- node frequencies -------------------------------------------------------------
 
-def _node_frequencies_loop(store, relevant_ids, exclude=()):
-    """Oracle: count the node terms one at a time, skipping the excluded ones."""
-    excluded = set(exclude)
-    freq = Counter()
-    for qid in relevant_ids:
-        for term in store.node_terms(qid):
-            if term not in excluded:
-                freq[term] += 1
-    return freq
-
-
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), texts=_slot_queries)
 def test_node_frequencies_match_counting_loop(data, texts):
@@ -322,8 +315,9 @@ def test_node_frequencies_match_counting_loop(data, texts):
     ids = data.draw(st.lists(st.sampled_from(store.ids()), unique=True))
     # excluded terms drawn from the store's own nodes and from terms it may lack
     exclude = data.draw(st.lists(st.sampled_from(_store_nodes(store) + _SLOT_ENDS), unique=True))
-    assert node_frequencies(store, ids, exclude) == _node_frequencies_loop(store, ids, exclude)
-    assert node_frequencies(store, ids) == _node_frequencies_loop(store, ids)
+    records = {q.id: q.patterns for q in store.queries}
+    assert node_frequencies(store, ids, exclude) == oracle.node_frequencies(records, ids, exclude)
+    assert node_frequencies(store, ids) == oracle.node_frequencies(records, ids)
 
 
 # -- resolve_variables ----------------------------------------------------------
@@ -552,9 +546,6 @@ def test_every_triple_term_is_ledgered_or_flagged():
     # across both strategies on randomized stores: concrete endpoints either
     # sit in the node ledger or carry warning provenance, and predicates all
     # occur somewhere in the workload
-    from isummary.rng import XorShift64Star
-    from test_coverage import _random_store
-
     rng = XorShift64Star(2)
     for trial in range(40):
         store = _random_store(rng, 6 + rng.randrange(12))

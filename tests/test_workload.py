@@ -11,7 +11,7 @@ from isummary.parser import parse_query
 from isummary.terms import RDF_TYPE, iri, literal
 from isummary.workload import EmptyWorkload, IoError, WorkloadStore, load_workload
 
-from conftest import UNIVERSITY_FILE, UNIVERSITY_QUERIES, collapsed_concrete_nodes, store_from_texts
+from conftest import UNIVERSITY_FILE, UNIVERSITY_QUERIES, oracle, store_from_texts
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -406,20 +406,18 @@ def test_filter_requires_concrete(university_store):
         university_store.filter([variable("x")])
 
 
+def _scanned_index(store):
+    """Oracle: each concrete term's holders, by a linear scan of the patterns."""
+    scanned = {}
+    for q in store.queries:
+        for t in oracle.term_set(q.patterns):
+            scanned.setdefault(t, set()).add(q.id)
+    return scanned
+
+
 def test_term_index_matches_linear_scan(university_store):
-    for term, ids in university_store.term_index.items():
-        scanned = {
-            q.id
-            for q in university_store.queries
-            if any(term in p.terms() for p in q.patterns)
-        }
-        assert ids == scanned
-    # no phantom entries: every indexed term occurs somewhere
-    all_terms = {
-        t for q in university_store.queries for p in q.patterns for t in p.terms()
-        if t.concrete
-    }
-    assert set(university_store.term_index) == all_terms
+    # also no phantom entries: every indexed term occurs somewhere
+    assert university_store.term_index == _scanned_index(university_store)
 
 
 def test_subset_preserves_ids(university_store):
@@ -445,16 +443,6 @@ def test_filter_conjunction_property(a, b):
     union = set(store.filter(a | b))
     both = set(store.filter(a)) & set(store.filter(b))
     assert union == both
-
-
-def _assert_index_matches_scan(store):
-    scanned = {}
-    for q in store.queries:
-        for p in q.patterns:
-            for t in p.terms():
-                if t.concrete:
-                    scanned.setdefault(t, set()).add(q.id)
-    assert store.term_index == scanned
 
 
 _query_texts = st.lists(
@@ -502,7 +490,7 @@ def test_subset_view_property(data, texts):
             nested.query(outsider)
     assert nested.filter(terms) == direct.filter(terms)
     # the view shares the index; no lookup may have changed it
-    _assert_index_matches_scan(store)
+    assert store.term_index == _scanned_index(store)
 
 
 def test_graphs_of_a_store_and_its_views_share_steps_and_hop_tuples():
@@ -535,7 +523,7 @@ def test_node_terms_match_collapsed_graph(texts):
     store = store_from_texts(texts)
     for qid in store.ids():
         nodes = store.node_terms(qid)
-        assert nodes == collapsed_concrete_nodes(store.query(qid))
+        assert nodes == oracle.collapse(store.query(qid).patterns)[0]
         ends = {t for e in store.graph(qid).edges for t in (e.subject, e.object)}
         assert {t for t in ends if t.concrete} <= nodes
 
