@@ -549,3 +549,19 @@ def test_fast_path_gives_up_or_returns_the_full_parsers_patterns(texts, base_pre
             parse_query(text, base_prefix=base_prefix, intern=shared)
         except ParseError:
             pass
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT ?x WHERE { a <p> limit . ?x a distinct . a ?x a }",
+    "SELECT ?x WHERE { _:b <p> 42 . ?x <p> 3.5 }",
+    "SELECT ?x WHERE { ?x <p> 'single' . ?x <p> \"esc\\\"aped\\n\" }",
+    'SELECT ?x WHERE { ?x <p> "x"@en-GB . ?x <p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> }',
+], ids=["keyword-names", "blank-and-numbers", "quoted-strings", "glued-literals"])
+@pytest.mark.parametrize("base_prefix", [None, "http://ex.org/"], ids=["no-base", "base"])
+def test_fast_path_reads_every_token_the_full_parser_reads_as_one_term(text, base_prefix):
+    table = {}
+    fast = _fast_patterns(text, base_prefix, table)
+    assert fast is not None
+    full = _Parser(text, base_prefix, table).parse()
+    assert fast == full
+    assert all(mine is theirs for mine, theirs in zip(fast, full))
