@@ -16,12 +16,14 @@ record text is parsed once.
 
 Most logged queries are plain ``SELECT ?v… WHERE { s p o . … }`` texts with
 whitespace between tokens, and a fast path reads those from one whitespace
-split.  It accepts only variables, ``<IRI>``s, bare names that are no
-keyword, ``a`` as a predicate and plain ``"…"`` strings, and it gives up on
-anything else.  It never rejects: a text it gives up on goes to the recursive
-descent parser, the only source of :class:`ParseError`.  It builds its terms
-and triples through the same intern table, so both paths return the same
-objects, and it memoizes each token's term in a dict that the table holds.
+split.  It reads each piece of the split in the select list and in the
+triples with the full parser's own term reader (the one :func:`parse_term`
+runs), and a predicate ``a`` as ``rdf:type``; a piece that the reader
+rejects or does not read whole makes it give up, as does any other shape.
+It never rejects: a text it gives up on goes to the recursive descent
+parser, the only source of :class:`ParseError`.  It builds its terms and
+triples through the same intern table, so both paths return the same
+objects, and it memoizes each piece's term in a dict that the table holds.
 """
 
 from __future__ import annotations
@@ -420,37 +422,33 @@ class _Parser:
 
 # -- fast path ------------------------------------------------------------------
 
-# Every keyword the grammar reads; a bare name spelling one, in any case,
-# sends the text to the full parser.
-_KEYWORDS = _TERM_KEYWORDS | {"DISTINCT", "REDUCED", "LIMIT", "OFFSET", "EXISTS", "NOT"}
-_VAR = re.compile(r"[?$][A-Za-z_][A-Za-z0-9_]*").fullmatch
-_IRIREF = re.compile(r'<[^<>"{}|^`\\\x00-\x20]+>').fullmatch
-_BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*").fullmatch
-_PLAIN_STRING = re.compile(r'"[^"\\\n]*"').fullmatch
 # The intern table holds the fast path's token memo under this key.  A token
 # is never a key of the table itself: a whitespace-free accepted record text
 # such as ``SELECT*{?s<p>?o}`` already is one, mapped to its patterns.
 _TOKEN_MEMO = object()
 
 
-def _token_term(token: str, base_prefix: str, table: dict):
-    """The term ``token`` denotes in any position of a triple, or False when
-    the fast path leaves it to the full parser; the caller reads ``a`` as a
-    predicate."""
-    if _VAR(token):
-        key = (VARIABLE, token[1:], None)
-    elif _IRIREF(token):
-        key = (IRI, token[1:-1], None)
-    elif _PLAIN_STRING(token):
-        key = (LITERAL, token[1:-1], None)
-    elif _BARE_NAME(token) and token != "a" and token.upper() not in _KEYWORDS:
-        key = (IRI, base_prefix + token, None)
-    else:
-        return False
-    try:
-        return interned(table, Term, key)
-    except ValueError:
-        return False
+def _read_term(text: str, base_prefix: str | None, table: dict) -> Term:
+    """The term that ``text`` spells whole, read by the full parser's term
+    reader and interned in ``table``; :class:`ParseError` otherwise."""
+    parser = _Parser(text, base_prefix, table)
+    term = parser._parse_term()
+    if parser._peek()[0] != END:
+        parser._error("trailing content after term")
+    return term
+
+
+def _token_term(token: str, base_prefix: str | None, table: dict, memo: dict):
+    """The term the full parser reads ``token`` as, whole, or False; memoized
+    in ``memo``, and never raises."""
+    term = memo.get(token)
+    if term is None:
+        try:
+            term = _read_term(token, base_prefix, table)
+        except ParseError:
+            term = False
+        memo[token] = term
+    return term
 
 
 def _fast_patterns(text: str, base_prefix: str | None, table: dict):
@@ -466,28 +464,29 @@ def _fast_patterns(text: str, base_prefix: str | None, table: dict):
     body = parts[where + 2:-1]
     dots = body[3::4]
     if (parts[where + 1] != "{" or not body or len(body) % 4 not in (0, 3)
-            or dots.count(".") != len(dots) or not all(map(_VAR, parts[1:where]))):
+            or dots.count(".") != len(dots)):
         return None
     memo = table.get(_TOKEN_MEMO)
     if memo is None:
         memo = table[_TOKEN_MEMO] = {}
-    base = base_prefix or ""
+    for token in parts[1:where]:
+        term = _token_term(token, base_prefix, table, memo)
+        if not term or term.kind != VARIABLE:
+            return None
     patterns = []
     for i in range(0, len(body), 4):
         terms = []
         for token in body[i:i + 3]:
             if token == "a" and len(terms) == 1:
                 term = table.setdefault(RDF_TYPE, RDF_TYPE)
-            else:
-                term = memo.get(token)
-                if term is None:
-                    term = memo[token] = _token_term(token, base, table)
+            else:  # a hit read inline saves a call per token
+                term = memo.get(token) or _token_term(token, base_prefix, table, memo)
             if not term:
                 return None
             terms.append(term)
         try:
             patterns.append(interned(table, TriplePattern, tuple(terms)))
-        except ValueError:  # a literal subject or predicate
+        except ValueError:  # a literal subject, or a predicate no IRI or variable
             return None
     return tuple(patterns)
 
@@ -531,9 +530,10 @@ def parse_query(
 
 
 def parse_term(text: str, base_prefix: str | None = None) -> Term:
-    """Parse a single term written in SPARQL surface syntax (for CLI seeds)."""
-    parser = _Parser(text, base_prefix)
-    term = parser._parse_term()
-    if parser._peek()[0] != END:
-        parser._error("trailing content after term")
-    return term
+    """Parse a single term written in SPARQL surface syntax (for CLI seeds).
+
+    The text must be one whole term, read as a subject or object of a query
+    without PREFIX declarations (a bare name is an IRI under ``base_prefix``).
+    The fast path of :func:`parse_query` reads each token this way.
+    """
+    return _read_term(text, base_prefix, {})

@@ -425,42 +425,63 @@ def test_tokenizer_matches_oracle(pieces, trailing):
 
 # -- fast path oracle -----------------------------------------------------------
 
-# every keyword the grammar reads, in upper case
-_GRAMMAR_KEYWORDS = {
+# the keywords a bare name in a term position may not spell, in upper case
+_TERM_POSITION_KEYWORDS = {
     "BASE", "ASK", "CONSTRUCT", "DESCRIBE", "MINUS", "BIND", "VALUES", "GRAPH", "SERVICE",
     "ORDER", "GROUP", "HAVING", "INSERT", "DELETE", "SELECT", "WHERE", "PREFIX", "FILTER",
-    "OPTIONAL", "UNION", "DISTINCT", "REDUCED", "LIMIT", "OFFSET", "EXISTS", "NOT",
+    "OPTIONAL", "UNION",
 }
-_PLAIN_SHAPE = re.compile(r"Sv+W\{(?:[vi][via][vil]\.)*[vi][via][vil]\.?\}")
+# a string body whose every backslash starts one of the escapes the grammar decodes
+_VALID_ESCAPES = re.compile(r"""(?:[^\\]|\\[\\"'ntr])*""", re.DOTALL)
+_PLAIN_SHAPE = re.compile(r"Sv+W\{(?:[viab][via][vilab]\.)*[viab][via][vilab]\.?\}")
 
 
-def _shape_symbol(kind, value):
-    if kind == "NAME" and value in ("SELECT", "WHERE", "a"):
-        return value[0]
-    if kind == "NAME" and ":" not in value and value.upper() not in _GRAMMAR_KEYWORDS:
-        return "i"
-    if kind == "IRIREF" and value != "<>":
-        return "i"
-    if kind == "STRING" and value[0] == '"' and "\\" not in value:
+def _chunk_symbol(chunk):
+    """One symbol for a run of tokens with no whitespace between them:
+    ``S``, ``W`` or ``a`` for those words, ``v`` a variable, ``i`` an IRI
+    (a non-empty ``<…>`` or a bare name that is no term keyword), ``b`` a
+    blank node, ``l`` a literal, a lone punctuation mark itself, else ``x``."""
+    kinds = tuple(kind for kind, _ in chunk)
+    value = chunk[0][1]
+    if kinds == ("NAME",):
+        if value in ("SELECT", "WHERE", "a"):
+            return value[0]
+        return "x" if ":" in value or value.upper() in _TERM_POSITION_KEYWORDS else "i"
+    if kinds == ("IRIREF",):
+        return "x" if value == "<>" else "i"
+    if kinds in (("VAR",), ("BLANK",)):
+        return kinds[0][0].lower()
+    if kinds == ("NUMBER",):
         return "l"
-    if kind == "VAR":
-        return "v"
-    return value if kind == "PUNCT" else "x"
+    if kinds == ("PUNCT",):
+        return value
+    if (kinds[0] == "STRING" and _VALID_ESCAPES.fullmatch(value[1:-1])
+            and (kinds in (("STRING",), ("STRING", "LANGTAG"))
+                 or kinds == ("STRING", "DTSEP", "IRIREF") and chunk[2][1] != "<>")):
+        return "l"
+    return "x"
 
 
 def _plain_shape(text):
     """Oracle of the texts the fast path takes, from the tokenizer's tokens:
-    whitespace around every token and none inside one, then ``SELECT``,
-    variables, ``WHERE {``, triples of variables, IRIs, bare names that are no
-    keyword, ``a`` as a predicate and plain strings as objects, split by
-    ``.`` with an optional last one, and ``}``."""
+    no whitespace inside a token, and the runs of tokens between whitespace
+    spell ``SELECT``, variables, ``WHERE {``, then triples split by ``.``
+    with an optional last one, then ``}``.  Each subject or object is one
+    run that reads as a whole term (no term keyword, no prefixed name, only
+    valid escapes), the subject no literal; each predicate is ``a`` or one
+    IRI or variable."""
     tokens = _tokenize(text)[:-1]
-    if any(c.isspace() for _, value, _ in tokens for c in value) or any(
-            start + len(value) == following
-            for (_, value, start), (_, _, following) in zip(tokens, tokens[1:])):
+    if any(c.isspace() for _, value, _ in tokens for c in value):
         return False
-    shape = "".join(_shape_symbol(kind, value) for kind, value, _ in tokens)
-    return bool(_PLAIN_SHAPE.fullmatch(shape))
+    chunks = []
+    end = None
+    for kind, value, start in tokens:
+        if start == end:
+            chunks[-1].append((kind, value))
+        else:
+            chunks.append([(kind, value)])
+        end = start + len(value)
+    return bool(_PLAIN_SHAPE.fullmatch("".join(map(_chunk_symbol, chunks))))
 
 
 def _full_outcome(text, base_prefix):
@@ -476,11 +497,14 @@ _FAST_PATH_TERMS = _SOUP_TOKENS + (
     '"a\\"b"', '"a\\nb"', "<u\u2003v>", "@en", "SELECT*{?s<p>?o}", "select", "Select",
     "where", "limit", "filter", "optional", "union", "Union", "distinct", "prefix",
     "CONSTRUCT", "ask", "Exists", "not", "offset", "Reduced", "GRAPH", "Bind",
+    '"a\\qb"', "'a\\'b'", '"x"@en-GB', '"5"^^<>', '"5"^^xsd:int', "5.", "_:b.", "<p>?o",
 )
 _plain_subjects = st.sampled_from(
-    ("?x", "$y", "<http://ex/p>", "Person", "foo-bar", "_", "A", '"v"'))
+    ("?x", "$y", "<http://ex/p>", "Person", "foo-bar", "_", "A", '"v"', "_:b", "a", "limit",
+     "Distinct", "42", "'s'", "_:b."))
 _plain_objects = st.sampled_from(
-    ("?x", "$y", "<http://ex/p>", "Person", "foo-bar", "_", "A", '"v"', '""', "a"))
+    ("?x", "$y", "<http://ex/p>", "Person", "foo-bar", "_", "A", '"v"', '""', "a", "_:b",
+     "42", "3.5", "'s'", '"x"@en', '"5"^^<http://dt>', '"a\\"b\\n"', "limit", "?o."))
 
 
 def _edited(plain, edits):
@@ -529,6 +553,12 @@ _fast_path_texts = st.one_of(
 @example(["SELECT ?x WHERE { ?x a Person } LIMIT 5"], None)
 @example(["select ?x where { ?x a Person }"], None)
 @example(['SELECT ?x WHERE { "v" <p> ?x }'], None)
+@example(["SELECT ?x WHERE { a <p> limit . _:b a distinct . ?x <p> a }"], "http://ex.org/")
+@example(["SELECT ?x WHERE { ?x <p> 42 . ?x <p> 'it\\'s' . ?x <p> \"a\\\"b\" }"], None)
+@example(['SELECT ?x WHERE { ?x <p> "x"@en . ?x <p> "5"^^<http://dt> }'], None)
+@example(["SELECT ?x WHERE { ?x <p> ?o. }", "SELECT ?x WHERE { ?x <p> \"a\\qb\" }"], None)
+@example(['SELECT ?x WHERE { ?x <p> "5"^^xsd:int }', "SELECT ?x WHERE { ?x FILTER ?o }"], None)
+@example(["SELECT ?x WHERE { ?x _:b ?o }", "SELECT ?x WHERE { 42 <p> ?o }"], None)
 @given(st.lists(_fast_path_texts, min_size=1, max_size=6),
        st.sampled_from((None, "", "http://ex.org/")))
 def test_fast_path_gives_up_or_returns_the_full_parsers_patterns(texts, base_prefix):
