@@ -83,11 +83,7 @@ class XorShift64Star:
         self._state = splitmix64(seed & _MASK64) or _SPLITMIX_GAMMA
 
     def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self._state = x
+        x = self._state = _xorshift(self._state)
         return (x * 0x2545F4914F6CDD1D) & _MASK64
 
     def random(self) -> float:

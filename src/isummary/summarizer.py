@@ -100,6 +100,19 @@ def node_frequencies(
     return freq
 
 
+def _ledger_order(item: tuple[Term, int]) -> tuple:
+    """Sort key of a ``(term, count)`` pair: count descending, then term ascending."""
+    term, count = item
+    return (-count, term.sort_key())
+
+
+def _budget_shortfall(available: int, budget: int) -> SummaryWarning:
+    return SummaryWarning(
+        BUDGET_SHORTFALL,
+        f"only {available} candidate node(s) available for a budget of {budget}",
+    )
+
+
 def select_top_nodes(
     store: WorkloadStore,
     relevant_ids: Iterable[int],
@@ -116,10 +129,7 @@ def select_top_nodes(
     if count == 0 or not freq:
         return []
     cut = heapq.nlargest(count, freq.values())[-1]
-    ranked = sorted(
-        ((term, n) for term, n in freq.items() if n >= cut),
-        key=lambda item: (-item[1], item[0].sort_key()),
-    )
+    ranked = sorted(((term, n) for term, n in freq.items() if n >= cut), key=_ledger_order)
     return ranked[:count]
 
 
@@ -164,7 +174,7 @@ def link(
 def _most_frequent(counts: Counter) -> Term | None:
     if not counts:
         return None
-    return min(counts, key=lambda t: (-counts[t], t.sort_key()))
+    return min(counts.items(), key=_ledger_order)[0]
 
 
 def resolve_variables(
@@ -298,10 +308,7 @@ def _greedy_summary(store, request, relevant, warnings):
     budget = request.k - len(request.seeds)
     top = select_top_nodes(store, relevant, budget, exclude=request.seeds)
     if len(top) < budget:
-        warnings.append(SummaryWarning(
-            BUDGET_SHORTFALL,
-            f"only {len(top)} candidate node(s) available for a budget of {budget}",
-        ))
+        warnings.append(_budget_shortfall(len(top), budget))
     for term, frequency in top:
         attach(term)
         nodes.append((term, frequency))
@@ -329,13 +336,10 @@ def _random_summary(store, request, relevant, warnings):
     budget = request.k - len(request.seeds)
     chosen = rng.sample(pool, min(budget, len(pool)))
     if len(chosen) < budget:
-        warnings.append(SummaryWarning(
-            BUDGET_SHORTFALL,
-            f"only {len(chosen)} candidate node(s) available for a budget of {budget}",
-        ))
+        warnings.append(_budget_shortfall(len(chosen), budget))
 
     # ledger stays sorted by weight so the frequency column is non-increasing
-    selected = sorted(((t, freq[t]) for t in chosen), key=lambda kv: (-kv[1], kv[0].sort_key()))
+    selected = sorted(((t, freq[t]) for t in chosen), key=_ledger_order)
     nodes = [(seed, len(relevant)) for seed in request.seeds] + selected
 
     triples: dict[TriplePattern, None] = {}

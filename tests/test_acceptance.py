@@ -122,7 +122,7 @@ def test_criterion_3_chins_factor_two_envelope():
               f"(sparse family: {sparse_violations}/{sparse_solved} above the envelope, reported only)")
 
 
-def test_criterion_4_monotonicity():
+def test_criterion_4_monotonicity(tmp_path):
     rng = XorShift64Star(314)
     checked_instances = 0
     while checked_instances < 100:
@@ -143,7 +143,7 @@ def test_criterion_4_monotonicity():
     spec = SyntheticSpec(
         n_queries=2000, classes=30, predicates=60, instances=500, rng_seed=12
     )
-    path = Path("/tmp") / "acceptance_mono.txt"
+    path = tmp_path / "acceptance_mono.txt"
     generate_synthetic(spec, path)
     store = load_workload(path)
     pool = sorted(
