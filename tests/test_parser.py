@@ -449,8 +449,10 @@ def _chunk_symbol(chunk):
         return "x" if ":" in value or value.upper() in _TERM_POSITION_KEYWORDS else "i"
     if kinds == ("IRIREF",):
         return "x" if value == "<>" else "i"
-    if kinds in (("VAR",), ("BLANK",)):
-        return kinds[0][0].lower()
+    if kinds == ("VAR",):
+        return "v"
+    if kinds == ("BLANK",):
+        return "b"
     if kinds == ("NUMBER",):
         return "l"
     if kinds == ("PUNCT",):
