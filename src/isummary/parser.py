@@ -530,10 +530,7 @@ def parse_query(
 
 
 def parse_term(text: str, base_prefix: str | None = None) -> Term:
-    """Parse a single term written in SPARQL surface syntax (for CLI seeds).
-
-    The text must be one whole term, read as a subject or object of a query
-    without PREFIX declarations (a bare name is an IRI under ``base_prefix``).
-    The fast path of :func:`parse_query` reads each token this way.
-    """
+    """Parse a single term written in SPARQL surface syntax (for CLI seeds):
+    one whole term, read as a subject or object of a query without PREFIX
+    declarations.  The fast path of :func:`parse_query` reads each token so."""
     return _read_term(text, base_prefix, {})
