@@ -229,7 +229,8 @@ def test_evaluate_bad_budget_list_exits_two_before_load(budgets, tmp_path, capsy
 
 
 @pytest.mark.parametrize("strategies", ["", ",", "isummary,isummary", "random,isummary,random",
-                                        "isummary,nope"])
+                                        "isummary,nope", "isummary,", "isummary,,random",
+                                        ",random"])
 def test_evaluate_bad_strategy_list_exits_two_before_load(strategies, tmp_path, capsys):
     code = main(["evaluate", "--log", str(tmp_path / "absent.txt"), "--strategies", strategies])
     assert code == 2

@@ -166,6 +166,34 @@ def test_filter_exists_skipped():
     assert len(patterns) == 1
 
 
+# SPARQL 1.1 §19.8 (GroupGraphPatternSub): a '.' closes a triples block before
+# the next one, and a term keyword is no term in any position, predicate
+# included; offsets count from the start of the whole text
+@pytest.mark.parametrize("group,reason,offset", [
+    ("?s <p> ?o ?t <q> ?u", "expected '.'", 27),
+    ("?s FILTER ?o", "unsupported construct: FILTER", 20),
+    ("?s SELECT ?o", "unsupported construct: SELECT", 20),
+    ("?s <p> ?o BIND(1)", "unsupported construct: BIND", 27),
+    ("?s a/<p> ?o", "property paths are not supported", 21),
+    ("?s a* ?o", "property paths are not supported", 21),
+], ids=["unclosed-block", "filter-predicate", "select-predicate", "keyword-before-dot",
+        "path-after-a", "star-after-a"])
+def test_group_rejects_at_the_offending_token(group, reason, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_query(f"SELECT * WHERE {{ {group} }}")
+    assert (exc.value.reason, exc.value.offset) == (reason, offset)
+
+
+# ... but after FILTER, OPTIONAL or a nested group the '.' may be left out
+@pytest.mark.parametrize("group,count", [
+    ("?s <p> ?o FILTER(?o) ?t <q> ?u", 2),
+    ("?s <p> ?o OPTIONAL { ?s <q> ?u } ?t <r> ?v", 3),
+    ("{ ?s <p> ?o } ?t <q> ?u", 2),
+], ids=["filter", "optional", "nested-group"])
+def test_triples_block_needs_no_dot_after_a_non_triples_pattern(group, count):
+    assert len(patterns_of(f"SELECT * WHERE {{ {group} }}")) == count
+
+
 def test_subquery_rejected():
     with pytest.raises(ParseError) as exc:
         parse_query("SELECT ?x WHERE {{SELECT ?x WHERE {?x a Person}}}")
