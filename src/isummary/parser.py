@@ -214,7 +214,11 @@ class _Parser:
                 self._error("LIMIT/OFFSET require a number", tok)
 
     def _parse_group(self, patterns):
-        """Parse the contents of a brace group (after '{'), flattening nested blocks."""
+        """Parse the contents of a brace group (after '{'), flattening nested blocks.
+
+        A '.' must close a triples block before the next one; after FILTER,
+        OPTIONAL or a nested group it may be left out (SPARQL 1.1 §19.8)."""
+        block_end = None  # the token position just past the last triples block
         while True:
             tok = self._peek()
             kind, value, _ = tok
@@ -225,7 +229,6 @@ class _Parser:
                     self._advance()
                     return
                 if value == ".":
-                    # separator dots after FILTER clauses or nested groups
                     self._advance()
                     continue
                 if value == "{":
@@ -243,11 +246,10 @@ class _Parser:
                     continue
                 if upper == "SELECT":
                     self._error("subqueries are not supported", tok)
-                if upper in _REJECTED_KEYWORDS:
-                    self._error(f"unsupported construct: {value}", tok)
                 if upper == "UNION":
                     self._error("UNION without a preceding group", tok)
-            self._parse_triples_block(patterns)
+            self._parse_triples_block(patterns, unclosed=block_end == self.pos)
+            block_end = self.pos
 
     def _parse_nested_group(self, patterns):
         """A '{ ... }' block, possibly chained with UNION; branches are flattened."""
@@ -258,8 +260,6 @@ class _Parser:
             if not self._at_punct("{"):
                 self._error("expected '{'")
             self._advance()
-            if self._at_keyword("SELECT"):
-                self._error("subqueries are not supported")
             self._parse_group(patterns)
             if self._at_keyword("UNION"):
                 self._advance()
@@ -267,12 +267,16 @@ class _Parser:
             self.depth -= 1
             return
 
-    def _parse_triples_block(self, patterns):
+    def _parse_triples_block(self, patterns, unclosed):
+        """One subject's triples; ``unclosed``: a triples block ends right
+        before it, with no '.' between (checked once the subject is read, so
+        a keyword there is reported as such)."""
         subj_tok = self._peek()
         subject = self._parse_term()
+        if unclosed:
+            self._error("expected '.'", subj_tok)
         while True:
-            predicate = self._parse_predicate()
-            self._check_path_operator()
+            predicate = self._parse_term(predicate=True)
             self._append_pattern(patterns, subject, predicate, self._parse_term(), subj_tok)
             while self._at_punct(","):
                 self._advance()
@@ -285,8 +289,6 @@ class _Parser:
                     break
                 continue
             break
-        if self._at_punct("."):
-            self._advance()
 
     def _append_pattern(self, patterns, subject, predicate, obj, subj_tok):
         try:
@@ -294,51 +296,42 @@ class _Parser:
         except ValueError as exc:
             self._error(str(exc), subj_tok)
 
-    def _parse_predicate(self) -> Term:
+    def _parse_term(self, predicate: bool = False) -> Term:
+        """The term the next token spells, in any position.  A predicate is a
+        variable, an IRI or ``a`` (the table's one ``rdf:type`` object,
+        whichever spelling came first), with no path operator around it."""
         tok = self._peek()
         kind, value, _ = tok
-        if kind == "PATHOP" or (kind == "PUNCT" and value in "(*"):
-            self._error("property paths are not supported", tok)
-        if kind == "NAME" and value == "a":
-            # the table's one rdf:type object, whichever spelling came first
-            self._advance()
-            return self.table.setdefault(RDF_TYPE, RDF_TYPE)
+        if predicate:
+            if kind == "PATHOP" or (kind == "PUNCT" and value in "(*"):
+                self._error("property paths are not supported", tok)
+            if kind not in ("VAR", "IRIREF", "NAME"):
+                self._error("expected predicate", tok)
+        self._advance()
         if kind == "VAR":
-            self._advance()
-            return self._term(tok, VARIABLE, value[1:])
-        if kind == "IRIREF":
-            self._advance()
-            return self._iri_from_ref(tok)
-        if kind == "NAME":
-            self._advance()
-            return self._term_from_name(tok)
-        self._error("expected predicate", tok)
-
-    def _check_path_operator(self):
-        tok = self._peek()
-        if tok[0] == "PATHOP" or (tok[0] == "PUNCT" and tok[1] == "*"):
-            self._error("property paths are not supported", tok)
-
-    def _parse_term(self) -> Term:
-        tok = self._advance()
-        kind, value, _ = tok
-        if kind == "VAR":
-            return self._term(tok, VARIABLE, value[1:])
-        if kind == "NAME":
-            if value.upper() in _TERM_KEYWORDS:
+            term = self._term(tok, VARIABLE, value[1:])
+        elif kind == "NAME":
+            if predicate and value == "a":
+                term = self.table.setdefault(RDF_TYPE, RDF_TYPE)
+            elif value.upper() in _TERM_KEYWORDS:
                 self._error(f"unsupported construct: {value}", tok)
-            return self._term_from_name(tok)
-        if kind == "IRIREF":
-            return self._iri_from_ref(tok)
-        if kind == "STRING":
-            return self._finish_literal(tok)
-        if kind == "BLANK":
-            return self._term(tok, BLANK, value[2:])
-        if kind == "NUMBER":
-            return self._term(tok, LITERAL, value)
-        if kind == "OTHER":
+            else:
+                term = self._term_from_name(tok)
+        elif kind == "IRIREF":
+            term = self._iri_from_ref(tok)
+        elif kind == "STRING":
+            term = self._finish_literal(tok)
+        elif kind == "BLANK":
+            term = self._term(tok, BLANK, value[2:])
+        elif kind == "NUMBER":
+            term = self._term(tok, LITERAL, value)
+        elif kind == "OTHER":
             self._error(f"unexpected character {value!r}", tok)
-        self._error("expected term", tok)
+        else:
+            self._error("expected term", tok)
+        if predicate and (self._peek()[0] == "PATHOP" or self._at_punct("*")):
+            self._error("property paths are not supported")
+        return term
 
     def _iri_from_ref(self, tok) -> Term:
         inner = tok[1][1:-1]
