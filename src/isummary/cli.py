@@ -214,11 +214,12 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    strategies = [s for s in args.strategies.split(",") if s]
+    # an empty entry is an unknown strategy, as an empty budget is a bad --k
+    strategies = args.strategies.split(",")
     unknown = [s for s in strategies if s not in summarizer.STRATEGIES]
-    if unknown or not strategies or len(set(strategies)) != len(strategies):
+    if unknown or len(set(strategies)) != len(strategies):
         problem = (f"unknown strategy {unknown[0]!r}" if unknown else
-                   f"need a non-empty list of distinct strategies, got {args.strategies!r}")
+                   f"need a list of distinct strategies, got {args.strategies!r}")
         print(f"InvalidRequest: {problem}", file=sys.stderr)
         return 2
     if args.out:

@@ -13,7 +13,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .query_graph import FORWARD, PathSignature, position_renamer, shortest_path
 from .rng import XorShift64Star
@@ -177,21 +177,31 @@ def _most_frequent(counts: Counter) -> Term | None:
     return min(counts.items(), key=_ledger_order)[0]
 
 
+def _fresh_blanks(store: WorkloadStore) -> Iterator[Term]:
+    """Blank nodes ``_:u0``, ``_:u1``, … for unresolved variables, skipping
+    every blank label the log holds, so a fresh node is never one of the log's."""
+    for n in itertools.count():
+        term = Term(BLANK, f"u{n}")
+        if term not in store.term_index:
+            yield term
+
+
 def resolve_variables(
     path: PathSignature,
     store: WorkloadStore,
-    blanks: "itertools.count | None" = None,
+    blanks: Iterator[Term] | None = None,
 ) -> tuple[list[TriplePattern], list[SummaryWarning]]:
     """Turn a path into summary triples, substituting its variables.
 
     Variable waypoints take the most frequent concrete term seen anywhere in
     the workload at the same structural position (same predicate, same side);
-    with no candidate a fresh blank node is used and a warning emitted.
+    with no candidate the next fresh blank node from ``blanks`` (by default
+    ``_fresh_blanks(store)``) is used and a warning emitted.
     Variable predicates are mined from patterns around the resolved endpoints;
     if nothing matches, the step's triple is omitted with a warning.
     """
     if blanks is None:
-        blanks = itertools.count()
+        blanks = _fresh_blanks(store)
     warnings: list[SummaryWarning] = []
 
     # resolve waypoints first: each is constrained by the steps around it
@@ -216,7 +226,7 @@ def resolve_variables(
             counts = Counter({t: c for t, c in counts.items() if t.kind != LITERAL})
         chosen = _most_frequent(counts)
         if chosen is None:
-            chosen = Term(BLANK, f"u{next(blanks)}")
+            chosen = next(blanks)
             warnings.append(SummaryWarning(
                 UNRESOLVED_VARIABLE,
                 f"no concrete candidate for waypoint ?{term.lexical}; using blank node",
@@ -284,7 +294,7 @@ def _relevant_ids(store: WorkloadStore, seeds: Sequence[Term]):
 def _greedy_summary(store, request, relevant, warnings):
     # an ordered set: each triple once, in first-seen order
     triples: dict[TriplePattern, None] = {}
-    blanks = itertools.count()
+    blanks = _fresh_blanks(store)
     nodes: list[tuple[Term, int]] = [(seed, len(relevant)) for seed in request.seeds]
     visited: list[Term] = [request.seeds[0]]
 
@@ -343,7 +353,7 @@ def _random_summary(store, request, relevant, warnings):
     nodes = [(seed, len(relevant)) for seed in request.seeds] + selected
 
     triples: dict[TriplePattern, None] = {}
-    blanks = itertools.count()
+    blanks = _fresh_blanks(store)
     for term, _ in selected:
         # edges equal up to variable renaming are one candidate, ordered by a
         # key blind to variable names, so names cannot sway the draw
@@ -370,7 +380,7 @@ def _random_summary(store, request, relevant, warnings):
             if t.kind != VARIABLE:
                 return t
             if t not in substitutions:
-                substitutions[t] = Term(BLANK, f"u{next(blanks)}")
+                substitutions[t] = next(blanks)
                 warnings.append(SummaryWarning(
                     UNRESOLVED_VARIABLE,
                     f"variable {side} of the sampled edge replaced by blank node",
