@@ -8,11 +8,12 @@ than in the unit modules.
 import subprocess
 import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
 
+from isummary import summarizer, workload
 from isummary.coverage import CoverageConfig, coverage, evaluate
 from isummary.parser import ParseError, parse_query
 from isummary.rng import XorShift64Star
@@ -194,6 +195,39 @@ def _timed_summarize(store):
     t0 = time.perf_counter()
     summarize(store, SummaryRequest((iri("Class0"),), 10))
     return time.perf_counter() - t0
+
+
+def _counted(tally, name, fn):
+    def counted(*args):
+        tally[name] += 1
+        return fn(*args)
+    return counted
+
+
+def test_criterion_5_work_counts_scale_linearly(tmp_path, monkeypatch):
+    # the exact companion of the wall-clock ratio above: the cold Class0 k=10
+    # request's relevant set grows with the log, and every count of its work
+    # grows with the relevant set
+    counts = {}
+    for n in (10_000, 100_000):
+        path = tmp_path / f"synth{n}.txt"
+        generate_synthetic(SyntheticSpec(n_queries=n, rng_seed=1), path)
+        store = load_workload(path)
+        tally = Counter(relevant=len(store.filter([iri("Class0")])))
+        with monkeypatch.context() as patch:
+            patch.setattr(summarizer, "shortest_path",
+                          _counted(tally, "shortest_path", summarizer.shortest_path))
+            patch.setattr(workload, "build_graph",
+                          _counted(tally, "build_graph", workload.build_graph))
+            summarize(store, SummaryRequest((iri("Class0"),), 10))
+        counts[n] = tally
+    ratios = {name: counts[100_000][name] / counts[10_000][name] for name in counts[10_000]}
+    assert abs(ratios["relevant"] / 10 - 1) <= 0.10
+    for name, ratio in ratios.items():
+        assert abs(ratio / ratios["relevant"] - 1) <= 0.10, (name, counts)
+    report(5, "work of the cold request at 10k/100k queries: " + ", ".join(
+        f"{name} {counts[10_000][name]}/{counts[100_000][name]} ({ratio:.2f}x)"
+        for name, ratio in ratios.items()))
 
 
 def test_criterion_6_strategy_ordering(benchmark_store):
