@@ -372,16 +372,20 @@ def test_resolve_falls_back_to_blank_node():
     assert any(w.kind == UNRESOLVED_VARIABLE for w in warnings)
 
 
-def test_fresh_blank_node_skips_the_workloads_labels():
+@pytest.mark.parametrize("strategy,fresh", [
+    ("isummary", lambda b: TriplePattern(iri("s"), iri("p"), b)),
+    ("random", lambda b: TriplePattern(b, iri("q"), iri("t"))),
+], ids=["isummary", "random"])
+def test_fresh_blank_node_skips_the_workloads_labels(strategy, fresh):
     # ?x has no concrete filler, and the log already holds _:u0: the fresh
     # node must not merge with it
     store = store_from_texts([
         "SELECT * WHERE { <s> <p> ?x . ?x <q> <t> }",
         "SELECT * WHERE { <s> <r> _:u0 }",
     ])
-    summary = summarize(store, SummaryRequest((iri("s"),), 3))
-    assert TriplePattern(iri("s"), iri("p"), blank("u1")) in summary.triples
-    assert TriplePattern(iri("s"), iri("p"), blank("u0")) not in summary.triples
+    summary = summarize(store, SummaryRequest((iri("s"),), 3, strategy))
+    assert fresh(blank("u1")) in summary.triples
+    assert fresh(blank("u0")) not in summary.triples
     assert [w.term for w in summary.warnings if w.kind == UNRESOLVED_VARIABLE] == [blank("u1")]
 
 
