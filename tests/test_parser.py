@@ -176,8 +176,14 @@ def test_filter_exists_skipped():
     ("?s <p> ?o BIND(1)", "unsupported construct: BIND", 27),
     ("?s a/<p> ?o", "property paths are not supported", 21),
     ("?s a* ?o", "property paths are not supported", 21),
+    (". ?s <p> ?o . .", "unexpected '.'", 17),
+    ("?s <p> ?o . .", "unexpected '.'", 29),
+    ("FILTER(?o) . . ?s <p> ?o", "unexpected '.'", 30),
+    ("?s <p> ?o OPTIONAL { ?s <q> ?u } UNION { ?s <r> ?v }",
+     "UNION without a preceding group", 50),
 ], ids=["unclosed-block", "filter-predicate", "select-predicate", "keyword-before-dot",
-        "path-after-a", "star-after-a"])
+        "path-after-a", "star-after-a", "leading-dot", "second-dot-after-block",
+        "second-dot-after-filter", "union-after-optional"])
 def test_group_rejects_at_the_offending_token(group, reason, offset):
     with pytest.raises(ParseError) as exc:
         parse_query(f"SELECT * WHERE {{ {group} }}")
@@ -191,6 +197,20 @@ def test_group_rejects_at_the_offending_token(group, reason, offset):
     ("{ ?s <p> ?o } ?t <q> ?u", 2),
 ], ids=["filter", "optional", "nested-group"])
 def test_triples_block_needs_no_dot_after_a_non_triples_pattern(group, count):
+    assert len(patterns_of(f"SELECT * WHERE {{ {group} }}")) == count
+
+
+# one '.' may follow each triples block, FILTER, OPTIONAL or group; OPTIONAL
+# takes one group, which may hold a UNION
+@pytest.mark.parametrize("group,count", [
+    ("?s <p> ?o ; .", 1),
+    ("FILTER(?o) . ?s <p> ?o", 1),
+    ("OPTIONAL { ?s <p> ?o } . ?s <q> ?u .", 2),
+    ("OPTIONAL { { ?s <p> ?o } UNION { ?s <q> ?u } }", 2),
+    ("{ ?s <p> ?o } UNION { ?s <q> ?u } . ?s <r> ?v", 3),
+], ids=["after-dangling-semicolon", "after-filter", "after-optional",
+        "union-inside-optional", "after-union"])
+def test_group_accepts_one_dot_after_each_pattern(group, count):
     assert len(patterns_of(f"SELECT * WHERE {{ {group} }}")) == count
 
 
