@@ -217,8 +217,10 @@ class _Parser:
         """Parse the contents of a brace group (after '{'), flattening nested blocks.
 
         A '.' must close a triples block before the next one; after FILTER,
-        OPTIONAL or a nested group it may be left out (SPARQL 1.1 §19.8)."""
+        OPTIONAL or a nested group it may be left out.  At most one '.'
+        follows each of them, and none opens the group (SPARQL 1.1 §19.8)."""
         block_end = None  # the token position just past the last triples block
+        dot_at = None  # the token position where a '.' may stand
         while True:
             tok = self._peek()
             kind, value, _ = tok
@@ -229,43 +231,46 @@ class _Parser:
                     self._advance()
                     return
                 if value == ".":
+                    if dot_at != self.pos:
+                        self._error("unexpected '.'", tok)
                     self._advance()
                     continue
                 if value == "{":
                     self._parse_nested_group(patterns)
+                    while self._at_keyword("UNION"):
+                        self._advance()
+                        self._parse_nested_group(patterns)
+                    dot_at = self.pos
                     continue
             elif kind == "NAME":
                 upper = value.upper()
                 if upper == "FILTER":
                     self._advance()
                     self._skip_filter()
+                    dot_at = self.pos
                     continue
                 if upper == "OPTIONAL":
                     self._advance()
                     self._parse_nested_group(patterns)
+                    dot_at = self.pos
                     continue
                 if upper == "SELECT":
                     self._error("subqueries are not supported", tok)
                 if upper == "UNION":
                     self._error("UNION without a preceding group", tok)
             self._parse_triples_block(patterns, unclosed=block_end == self.pos)
-            block_end = self.pos
+            block_end = dot_at = self.pos
 
     def _parse_nested_group(self, patterns):
-        """A '{ ... }' block, possibly chained with UNION; branches are flattened."""
+        """One '{ ... }' group; its patterns are flattened into ``patterns``."""
         self.depth += 1
         if self.depth > MAX_GROUP_DEPTH:
             self._error("group nesting too deep")
-        while True:
-            if not self._at_punct("{"):
-                self._error("expected '{'")
-            self._advance()
-            self._parse_group(patterns)
-            if self._at_keyword("UNION"):
-                self._advance()
-                continue
-            self.depth -= 1
-            return
+        if not self._at_punct("{"):
+            self._error("expected '{'")
+        self._advance()
+        self._parse_group(patterns)
+        self.depth -= 1
 
     def _parse_triples_block(self, patterns, unclosed):
         """One subject's triples; ``unclosed``: a triples block ends right
