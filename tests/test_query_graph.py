@@ -380,6 +380,49 @@ def test_steps_less_orders_as_steps_key(data, length):
         assert _steps_less(x, y) == (_steps_key(x) < _steps_key(y))
 
 
+_ENDS = {"A": iri("A"), "B": iri("B"), '"l"': literal("l")}
+
+
+# two ends joined by parallel hops, so the least renamed hop is the path, plus
+# detours of 2-3 hops that must lose to it
+@settings(max_examples=300, deadline=None)
+@given(
+    ends=st.sampled_from([("A", "B"), ("B", "A"), ("A", '"l"')]),
+    hops=st.lists(st.tuples(st.sampled_from(["p", "q", "a", "?p", "?q"]), st.booleans()),
+                  min_size=1, max_size=4),
+    collapsed=st.booleans(),
+    detours=st.lists(st.lists(st.sampled_from(["p", "q", "?p"]), min_size=2, max_size=3),
+                     max_size=2),
+)
+def test_direct_hops_match_enumerator_oracle(ends, hops, collapsed, detours):
+    a, b = ends
+    patterns = []
+    for predicate, backward in hops:
+        subject, obj = (b, a) if backward and b in ("A", "B") else (a, b)
+        patterns.append(f"{subject} {predicate} {obj}")
+    if collapsed and b in ("A", "B"):
+        # ?c and ?d both collapse to A, each leaving an `A a B` edge
+        patterns += [f"?{v} a {end}" for v in "cd" for end in (a, b)]
+    for i, predicates in enumerate(detours):
+        nodes = [a] + [f"?m{i}_{j}" for j in range(len(predicates) - 1)] + [b]
+        patterns += [f"{nodes[j]} {predicate} {nodes[j + 1]}"
+                     for j, predicate in enumerate(predicates)]
+    graph = build_graph(parse_query("SELECT * WHERE { " + " . ".join(patterns) + " }"))
+    x, y = _ENDS[a], _ENDS[b]
+    for u, v in ((x, y), (y, x)):
+        signature = shortest_path(graph, u, v)
+        assert signature == oracle_shortest_path(graph, u, v)
+        assert len(signature.steps) == 1
+
+
+def test_endpoint_only_a_predicate_is_no_path():
+    graph = graph_of("SELECT * WHERE {A p B. B q C}")
+    for end in (iri("A"), iri("B"), iri("C")):
+        for u, v in ((iri("p"), end), (end, iri("p"))):
+            assert shortest_path(graph, u, v) is None
+            assert oracle_shortest_path(graph, u, v) is None
+
+
 def test_enumerator_oracle_on_parallel_collapsed_edges():
     # ?x and ?y both collapse to A, so `A a B` appears twice as a parallel edge
     graph = graph_of("SELECT * WHERE {?x a A. ?x a B. ?y a A. ?y a B. ?y p C.}")
