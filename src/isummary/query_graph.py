@@ -9,16 +9,19 @@ A hop along an edge, either way, is a ``Step``.  The graph keeps each node's
 distinct hops, so parallel edges with the same predicate and orientation are
 walked once.  ``shortest_path`` walks hops from the endpoint with the lesser
 sort key, and a path's signature is its walked steps with the variables
-renamed by position.  Its breadth-first search from the other endpoint stops
-at the layer that reaches the walk's start.  Sort keys are built only when a
-second equal-length path turns up, and then only for the first step where it
-differs from the least path so far.
+renamed by position (``positional_name``, the one renaming function).  A
+direct hop between the endpoints needs no search: the least renamed one is
+the path.  Otherwise a breadth-first search from the other endpoint stops at
+the layer that reaches the walk's start, and the walk enumerates the
+equal-length paths.  Sort keys are built only when a second equal-length
+path turns up, and then only for the first step where it differs from the
+least path so far.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .parser import ParsedQuery
 from .terms import RDF_TYPE, IRI, VARIABLE, Term, TriplePattern, interned
@@ -172,57 +175,76 @@ def _canonical_variable(index: int) -> Term:
     return Term(VARIABLE, f"v{index}")
 
 
-def position_renamer() -> Callable[[Term], Term]:
-    """A fresh renaming: the returned function maps each variable to v0, v1,
-    ... in the order of its first call with it, and any other term to itself."""
-    renames: dict[Term, Term] = {}
+def positional_name(term: Term, names: dict[Term, Term]) -> Term:
+    """``term`` in a renaming by position: a variable met for the first time
+    takes the next name of v0, v1, ..., recorded in ``names``, which one
+    renaming shares across its calls; any other term is itself."""
+    if term.kind != VARIABLE:
+        return term
+    name = names.get(term)
+    if name is None:
+        name = names[term] = _canonical_variable(len(names))
+    return name
 
-    def canon(term: Term) -> Term:
-        if term.kind != VARIABLE:
-            return term
-        if term not in renames:
-            renames[term] = _canonical_variable(len(renames))
-        return renames[term]
 
-    return canon
+def _renamed(steps: tuple[Step, ...]) -> tuple[Step, ...]:
+    """``steps`` with their variables renamed by position, predicate before
+    waypoint in each step; a step with no variable stays the graph's own."""
+    names: dict[Term, Term] = {}
+    return tuple([
+        Step(positional_name(step.predicate, names), step.direction,
+             positional_name(step.waypoint, names))
+        if step.predicate.kind == VARIABLE or step.waypoint.kind == VARIABLE else step
+        for step in steps
+    ])
 
 
 def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
     """Minimum-hop path between two concrete terms, as a canonical signature.
 
-    The path is walked from the endpoint with the lesser sort key, over the
-    distances of a breadth-first search from the other endpoint that stops at
-    the layer reaching the walk's start.  Among equal-length paths the
+    The path is walked from the endpoint with the lesser sort key.  When the
+    other endpoint is a direct neighbour, the least renamed hop to it is the
+    path, with no search.  Otherwise the walk follows the distances of a
+    breadth-first search from the other endpoint that stops at the layer
+    reaching the walk's start, and among equal-length paths the
     lexicographically least signature wins; sort keys are built only for the
-    first step where a later path differs from the least one so far.  Returns
-    None when either endpoint is absent or unreachable.
+    first step where a later path differs from the least one so far.
+    Returns None when either endpoint has no hop in the graph (it is absent,
+    or only a predicate there) or they are not connected.
     """
     if x == y:
         raise ValueError("path endpoints must differ")
     if not (x.concrete and y.concrete):
         raise ValueError("path endpoints must be concrete")
     start, end = (x, y) if x.sort_key() < y.sort_key() else (y, x)
-    dist = _bfs_distances(graph, end, start)
-    if start not in dist:
+    hops = graph._hops
+    out = hops.get(start)
+    if out is None or end not in hops:
         return None
 
     best = None
+    for step in out:
+        if step.waypoint == end:
+            if step.predicate.kind == VARIABLE:
+                (step,) = _renamed((step,))
+            if best is None or _step_key(step) < _step_key(best):
+                best = step
+    if best is not None:
+        return PathSignature((best,), (start, end))
+
+    dist = _bfs_distances(graph, end, start)
+    if start not in dist:
+        return None
     stack = [(start, ())]
     while stack:
         node, steps = stack.pop()
         if node == end:
-            # a step with no variable stays the graph's own Step
-            canon = position_renamer()
-            steps = tuple(
-                s if s.waypoint.kind != VARIABLE and s.predicate.kind != VARIABLE
-                else Step(canon(s.predicate), s.direction, canon(s.waypoint))
-                for s in steps
-            )
+            steps = _renamed(steps)
             if best is None or _steps_less(steps, best):
                 best = steps
             continue
         remaining = dist[node] - 1
-        for step in graph._hops[node]:
+        for step in hops[node]:
             if dist.get(step.waypoint) == remaining:
                 stack.append((step.waypoint, steps + (step,)))
     return PathSignature(best, (start, end))

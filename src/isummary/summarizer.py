@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .query_graph import FORWARD, PathSignature, position_renamer, shortest_path
+from .query_graph import FORWARD, PathSignature, positional_name, shortest_path
 from .rng import XorShift64Star
 from .terms import BLANK, LITERAL, VARIABLE, Term, TriplePattern
 from .workload import WorkloadStore
@@ -327,8 +327,8 @@ def _greedy_summary(store, request, relevant, warnings):
 
 def _name_blind_key(edge: TriplePattern) -> tuple:
     """``edge.sort_key()`` with each variable renamed by its first position."""
-    canon = position_renamer()
-    return tuple([canon(t).sort_key() for t in edge])
+    names: dict = {}
+    return tuple([positional_name(t, names).sort_key() for t in edge])
 
 
 def _incident_edges(store: WorkloadStore, relevant: Iterable[int], term: Term) -> set:
