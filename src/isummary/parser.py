@@ -219,8 +219,7 @@ class _Parser:
         A '.' must close a triples block before the next one; after FILTER,
         OPTIONAL or a nested group it may be left out.  At most one '.'
         follows each of them, and none opens the group (SPARQL 1.1 §19.8)."""
-        block_end = None  # the token position just past the last triples block
-        dot_at = None  # the token position where a '.' may stand
+        last = None  # the group's last item: None, ".", "block" or "pattern"
         while True:
             tok = self._peek()
             kind, value, _ = tok
@@ -231,35 +230,36 @@ class _Parser:
                     self._advance()
                     return
                 if value == ".":
-                    if dot_at != self.pos:
+                    if last in (None, "."):
                         self._error("unexpected '.'", tok)
                     self._advance()
+                    last = "."
                     continue
                 if value == "{":
                     self._parse_nested_group(patterns)
                     while self._at_keyword("UNION"):
                         self._advance()
                         self._parse_nested_group(patterns)
-                    dot_at = self.pos
+                    last = "pattern"
                     continue
             elif kind == "NAME":
                 upper = value.upper()
                 if upper == "FILTER":
                     self._advance()
                     self._skip_filter()
-                    dot_at = self.pos
+                    last = "pattern"
                     continue
                 if upper == "OPTIONAL":
                     self._advance()
                     self._parse_nested_group(patterns)
-                    dot_at = self.pos
+                    last = "pattern"
                     continue
                 if upper == "SELECT":
                     self._error("subqueries are not supported", tok)
                 if upper == "UNION":
                     self._error("UNION without a preceding group", tok)
-            self._parse_triples_block(patterns, unclosed=block_end == self.pos)
-            block_end = dot_at = self.pos
+            self._parse_triples_block(patterns, unclosed=last == "block")
+            last = "block"
 
     def _parse_nested_group(self, patterns):
         """One '{ ... }' group; its patterns are flattened into ``patterns``."""
