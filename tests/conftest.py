@@ -1,10 +1,13 @@
 import importlib.util
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 from isummary.parser import parse_query
+from isummary.query_graph import BACKWARD, FORWARD, PathSignature, Step
 from isummary.synth import write_queries
+from isummary.terms import VARIABLE, Term
 from isummary.workload import WorkloadStore
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -76,6 +79,60 @@ def collapsed_nodes(query):
             classes.setdefault(subject, []).append(obj)
     relabel = {v: min(cs, key=lambda c: c.lexical) for v, cs in classes.items()}
     return {relabel.get(t, t) for subject, _, obj in query.patterns for t in (subject, obj)}
+
+
+def _oracle_signature(start, hops):
+    """Orient a walk of ``(predicate, direction, node)`` hops from ``start`` so
+    that the lesser end comes first, then rename its variables positionally."""
+    nodes = [start] + [node for _, _, node in hops]
+    predicates = [predicate for predicate, _, _ in hops]
+    directions = [direction for _, direction, _ in hops]
+    if nodes[0].sort_key() > nodes[-1].sort_key():
+        nodes.reverse()
+        predicates.reverse()
+        directions = [BACKWARD if d == FORWARD else FORWARD for d in reversed(directions)]
+    renames = {}
+
+    def canon(term):
+        if term.kind != VARIABLE:
+            return term
+        return Term(VARIABLE, renames.setdefault(term.lexical, f"v{len(renames)}"))
+
+    steps = tuple(
+        Step(canon(predicates[i]), directions[i], canon(nodes[i + 1]))
+        for i in range(len(predicates))
+    )
+    return PathSignature(steps, (nodes[0], nodes[-1]))
+
+
+def oracle_shortest_path(graph, x, y):
+    """Every minimum-hop walk from ``x`` to ``y`` over every edge of
+    ``graph.edges``, each made a signature; the least one by ``sort_key``."""
+    adj = {}
+    for edge in graph.edges:
+        adj.setdefault(edge.subject, []).append((edge.predicate, FORWARD, edge.object))
+        adj.setdefault(edge.object, []).append((edge.predicate, BACKWARD, edge.subject))
+    dist = {y: 0}
+    queue = deque([y])
+    while queue:
+        node = queue.popleft()
+        for _, _, neighbor in adj.get(node, ()):
+            if neighbor not in dist:
+                dist[neighbor] = dist[node] + 1
+                queue.append(neighbor)
+    if x not in dist:
+        return None
+    signatures = []
+    stack = [(x, ())]
+    while stack:
+        node, hops = stack.pop()
+        if node == y:
+            signatures.append(_oracle_signature(x, hops))
+            continue
+        for hop in adj.get(node, ()):
+            if dist.get(hop[2]) == dist[node] - 1:
+                stack.append((hop[2], hops + (hop,)))
+    return min(signatures, key=PathSignature.sort_key)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import itertools
 import signal
-from collections import deque
 
 import networkx as nx
 import pytest
@@ -11,7 +10,6 @@ from isummary.parser import ParsedQuery, parse_query
 from isummary.query_graph import (
     BACKWARD,
     FORWARD,
-    PathSignature,
     Step,
     _steps_key,
     _steps_less,
@@ -19,10 +17,10 @@ from isummary.query_graph import (
     shortest_path,
 )
 from isummary.rng import XorShift64Star
-from isummary.terms import RDF_TYPE, VARIABLE, Term, TriplePattern, iri, literal, variable
+from isummary.terms import RDF_TYPE, Term, TriplePattern, iri, literal, variable
 from isummary.workload import concrete_node_terms
 
-from conftest import collapsed_nodes, oracle
+from conftest import collapsed_nodes, oracle, oracle_shortest_path
 
 
 def graph_of(text):
@@ -284,60 +282,6 @@ def test_shortest_path_length_matches_networkx_oracle():
 
 
 # -- oracle equivalence: the all-paths enumerator -----------------------------
-
-def _oracle_signature(start, hops):
-    """Orient a walk of ``(predicate, direction, node)`` hops from ``start`` so
-    that the lesser end comes first, then rename its variables positionally."""
-    nodes = [start] + [node for _, _, node in hops]
-    predicates = [predicate for predicate, _, _ in hops]
-    directions = [direction for _, direction, _ in hops]
-    if nodes[0].sort_key() > nodes[-1].sort_key():
-        nodes.reverse()
-        predicates.reverse()
-        directions = [BACKWARD if d == FORWARD else FORWARD for d in reversed(directions)]
-    renames = {}
-
-    def canon(term):
-        if term.kind != VARIABLE:
-            return term
-        return Term(VARIABLE, renames.setdefault(term.lexical, f"v{len(renames)}"))
-
-    steps = tuple(
-        Step(canon(predicates[i]), directions[i], canon(nodes[i + 1]))
-        for i in range(len(predicates))
-    )
-    return PathSignature(steps, (nodes[0], nodes[-1]))
-
-
-def oracle_shortest_path(graph, x, y):
-    """Every minimum-hop walk from ``x`` to ``y`` over every edge of
-    ``graph.edges``, each made a signature; the least one by ``sort_key``."""
-    adj = {}
-    for edge in graph.edges:
-        adj.setdefault(edge.subject, []).append((edge.predicate, FORWARD, edge.object))
-        adj.setdefault(edge.object, []).append((edge.predicate, BACKWARD, edge.subject))
-    dist = {y: 0}
-    queue = deque([y])
-    while queue:
-        node = queue.popleft()
-        for _, _, neighbor in adj.get(node, ()):
-            if neighbor not in dist:
-                dist[neighbor] = dist[node] + 1
-                queue.append(neighbor)
-    if x not in dist:
-        return None
-    signatures = []
-    stack = [(x, ())]
-    while stack:
-        node, hops = stack.pop()
-        if node == y:
-            signatures.append(_oracle_signature(x, hops))
-            continue
-        for hop in adj.get(node, ()):
-            if dist.get(hop[2]) == dist[node] - 1:
-                stack.append((hop[2], hops + (hop,)))
-    return min(signatures, key=PathSignature.sort_key)
-
 
 _Q_SUBJECTS = ["A", "B", "_:b", "?x", "?y", "?z"]
 _Q_PREDICATES = ["p", "q", "a", "?x", "?p"]

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isummary import summarizer
-from isummary.query_graph import FORWARD, shortest_path
+from isummary.query_graph import FORWARD
 from isummary.rng import XorShift64Star
 from isummary.summarizer import (
     BUDGET_SHORTFALL,
@@ -35,6 +35,7 @@ from conftest import (
     _random_store,
     generate_synthetic,
     oracle,
+    oracle_shortest_path,
     store_from_texts,
 )
 
@@ -162,13 +163,14 @@ def test_link_same_for_relevant_ids_as_list_or_set(data, texts):
 
 
 def _oracle_link(store, relevant_ids, x, visited):
-    """``link`` as it once chose: one full key per distinct tallied signature."""
+    """``link`` as it once chose, one full key per distinct tallied signature,
+    over the paths of the all-paths enumerator oracle."""
     relevant = set(relevant_ids)
     tally = Counter()
     for y in visited:
         for qid in store.filter((x, y)):
             if qid in relevant:
-                signature = shortest_path(store.graph(qid), x, y)
+                signature = oracle_shortest_path(store.graph(qid), x, y)
                 if signature is not None:
                     tally[signature] += 1
     if not tally:
@@ -187,6 +189,13 @@ def test_link_matches_full_min_oracle(data, texts):
     visited = data.draw(st.lists(st.sampled_from([t for t in nodes if t != x]),
                                  min_size=1, unique=True))
     assert link(store, ids, x, visited) == _oracle_link(store, ids, x, visited)
+
+
+def test_link_renames_predicate_before_waypoint():
+    # the path A -?v-> ?x -q-> B names its variable predicate before its waypoint
+    store = store_from_texts(["SELECT * WHERE { A ?v ?x . ?x q B }"])
+    ids = store.ids()
+    assert link(store, ids, iri("A"), [iri("B")]) == _oracle_link(store, ids, iri("A"), [iri("B")])
 
 
 def test_link_precondition_checks(university_store):
