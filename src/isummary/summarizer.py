@@ -171,12 +171,6 @@ def link(
                key=lambda s: (len(s.steps), s.sort_key()))
 
 
-def _most_frequent(counts: Counter) -> Term | None:
-    if not counts:
-        return None
-    return min(counts.items(), key=_ledger_order)[0]
-
-
 def _fresh_blanks(store: WorkloadStore) -> Iterator[Term]:
     """Blank nodes ``_:u0``, ``_:u1``, … for unresolved variables, skipping
     every blank label the log holds, so a fresh node is never one of the log's."""
@@ -186,6 +180,19 @@ def _fresh_blanks(store: WorkloadStore) -> Iterator[Term]:
             yield term
 
 
+def _vote(store: WorkloadStore, keys: Iterable[tuple], no_literal: bool) -> Term | None:
+    """The most frequent concrete term over ``store.slot_counts`` of each
+    ``(anchor, anchor_slot, slot)`` key whose anchor is concrete, without
+    literals when ``no_literal`` is set; None with no candidate."""
+    counts: Counter = Counter()
+    for anchor, anchor_slot, slot in keys:
+        if anchor.concrete:
+            counts.update(store.slot_counts(anchor, anchor_slot, slot))
+    candidates = [item for item in counts.items()
+                  if not (no_literal and item[0].kind == LITERAL)]
+    return min(candidates, key=_ledger_order)[0] if candidates else None
+
+
 def resolve_variables(
     path: PathSignature,
     store: WorkloadStore,
@@ -193,38 +200,32 @@ def resolve_variables(
 ) -> tuple[list[TriplePattern], list[SummaryWarning]]:
     """Turn a path into summary triples, substituting its variables.
 
-    Variable waypoints take the most frequent concrete term seen anywhere in
-    the workload at the same structural position (same predicate, same side);
-    with no candidate the next fresh blank node from ``blanks`` (by default
-    ``_fresh_blanks(store)``) is used and a warning emitted.
-    Variable predicates are mined from patterns around the resolved endpoints;
-    if nothing matches, the step's triple is omitted with a warning.
+    A variable waypoint or predicate takes the most frequent concrete term
+    over the whole workload's slot counts of its concrete neighbours, with no
+    literal where it will be written as a subject.  A waypoint's neighbours
+    are the predicates of its steps (its slot: subject or object); a
+    predicate's are its step's resolved ends (their slot: predicate).  A
+    waypoint with no candidate takes the next fresh blank node from
+    ``blanks`` (by default ``_fresh_blanks(store)``); a predicate with none
+    omits its step's triple.  Each case adds a warning.
     """
     if blanks is None:
         blanks = _fresh_blanks(store)
     warnings: list[SummaryWarning] = []
+    steps = path.steps
+    # step i joins nodes[i] and nodes[i + 1]; ends[i] are its (source, target) indices
+    nodes = [path.endpoints[0], *(step.waypoint for step in steps)]
+    ends = [(i, i + 1) if step.direction == FORWARD else (i + 1, i)
+            for i, step in enumerate(steps)]
 
-    # resolve waypoints first: each is constrained by the steps around it
-    waypoints: list[Term] = []
-    for index, step in enumerate(path.steps):
-        term = step.waypoint
+    # resolve waypoints first: each is constrained by the two steps around it
+    for j in range(1, len(nodes)):
+        term = nodes[j]
         if term.kind != VARIABLE:
-            waypoints.append(term)
             continue
-        counts: Counter = Counter()
-        incoming_side = "object" if step.direction == FORWARD else "subject"
-        if step.predicate.concrete:
-            counts.update(store.slot_counts(step.predicate, "predicate", incoming_side))
-        outgoing_side = None
-        if index + 1 < len(path.steps):
-            nxt = path.steps[index + 1]
-            outgoing_side = "subject" if nxt.direction == FORWARD else "object"
-            if nxt.predicate.concrete:
-                counts.update(store.slot_counts(nxt.predicate, "predicate", outgoing_side))
-        if "subject" in (incoming_side, outgoing_side):
-            # the substitution will be written as a subject somewhere
-            counts = Counter({t: c for t, c in counts.items() if t.kind != LITERAL})
-        chosen = _most_frequent(counts)
+        keys = [(steps[i].predicate, "predicate", "subject" if ends[i][0] == j else "object")
+                for i in (j - 1, j) if i < len(steps)]
+        chosen = _vote(store, keys, any(key[2] == "subject" for key in keys))
         if chosen is None:
             chosen = next(blanks)
             warnings.append(SummaryWarning(
@@ -238,26 +239,20 @@ def resolve_variables(
                 f"waypoint ?{term.lexical} resolved from workload",
                 chosen,
             ))
-        waypoints.append(chosen)
+        nodes[j] = chosen
 
     triples: list[TriplePattern] = []
-    current = path.endpoints[0]
-    for step, waypoint in zip(path.steps, waypoints):
-        predicate = step.predicate
+    for step, (s, t) in zip(steps, ends):
+        source, predicate, target = nodes[s], step.predicate, nodes[t]
         if predicate.kind == VARIABLE:
-            source, target = (current, waypoint) if step.direction == FORWARD else (waypoint, current)
-            counts = Counter()
-            for anchor, side in ((source, "subject"), (target, "object")):
-                if anchor.concrete:
-                    counts.update(store.slot_counts(anchor, side, "predicate"))
-            mined = _most_frequent(counts)
+            mined = _vote(store, ((source, "subject", "predicate"),
+                                  (target, "object", "predicate")), False)
             if mined is None:
                 warnings.append(SummaryWarning(
                     UNRESOLVED_VARIABLE,
                     f"variable predicate ?{predicate.lexical} has no workload candidate;"
                     " triple omitted",
                 ))
-                current = waypoint
                 continue
             warnings.append(SummaryWarning(
                 RESOLVED_VARIABLE,
@@ -265,11 +260,7 @@ def resolve_variables(
                 mined,
             ))
             predicate = mined
-        if step.direction == FORWARD:
-            triples.append(TriplePattern(current, predicate, waypoint))
-        else:
-            triples.append(TriplePattern(waypoint, predicate, current))
-        current = waypoint
+        triples.append(TriplePattern(source, predicate, target))
     return triples, warnings
 
 
@@ -291,11 +282,9 @@ def _relevant_ids(store: WorkloadStore, seeds: Sequence[Term]):
     return ids, warnings
 
 
-def _greedy_summary(store, request, relevant, warnings):
-    # an ordered set: each triple once, in first-seen order
-    triples: dict[TriplePattern, None] = {}
-    blanks = _fresh_blanks(store)
-    nodes: list[tuple[Term, int]] = [(seed, len(relevant)) for seed in request.seeds]
+def _greedy_summary(store, request, relevant, budget, triples, blanks, warnings):
+    """Attach the other seeds, then the ``budget`` most frequent nodes, each by
+    its ``link`` path; returns the nodes' ledger rows."""
     visited: list[Term] = [request.seeds[0]]
 
     def attach(term):
@@ -315,18 +304,16 @@ def _greedy_summary(store, request, relevant, warnings):
     for seed in request.seeds[1:]:
         attach(seed)
 
-    budget = request.k - len(request.seeds)
     top = select_top_nodes(store, relevant, budget, exclude=request.seeds)
     if len(top) < budget:
         warnings.append(_budget_shortfall(len(top), budget))
-    for term, frequency in top:
+    for term, _ in top:
         attach(term)
-        nodes.append((term, frequency))
-    return triples, nodes
+    return top
 
 
 def _name_blind_key(edge: TriplePattern) -> tuple:
-    """``edge.sort_key()`` with each variable renamed by its first position."""
+    """The sort keys of the edge's terms, each variable renamed by its first position."""
     names: dict = {}
     return tuple([positional_name(t, names).sort_key() for t in edge])
 
@@ -337,23 +324,19 @@ def _incident_edges(store: WorkloadStore, relevant: Iterable[int], term: Term) -
             for e in store.graph(qid).edges if term in (e.subject, e.object)}
 
 
-def _random_summary(store, request, relevant, warnings):
-    """Name-blind draws from the pinned stream: nodes, then one edge at each from
-    ``_incident_edges``; ``relevant`` is a set of member ids of ``store``."""
+def _random_summary(store, request, relevant, budget, triples, blanks, warnings):
+    """Name-blind draws from the pinned stream: ``budget`` nodes, then one edge
+    at each from ``_incident_edges``; returns the nodes' ledger rows.
+    ``relevant`` is a set of member ids of ``store``."""
     rng = XorShift64Star(request.random_seed)
     freq = node_frequencies(store, relevant, exclude=request.seeds)
     pool = sorted(freq, key=Term.sort_key)
-    budget = request.k - len(request.seeds)
     chosen = rng.sample(pool, min(budget, len(pool)))
     if len(chosen) < budget:
         warnings.append(_budget_shortfall(len(chosen), budget))
 
     # ledger stays sorted by weight so the frequency column is non-increasing
     selected = sorted(((t, freq[t]) for t in chosen), key=_ledger_order)
-    nodes = [(seed, len(relevant)) for seed in request.seeds] + selected
-
-    triples: dict[TriplePattern, None] = {}
-    blanks = _fresh_blanks(store)
     for term, _ in selected:
         # edges equal up to variable renaming are one candidate, ordered by a
         # key blind to variable names, so names cannot sway the draw
@@ -390,7 +373,7 @@ def _random_summary(store, request, relevant, warnings):
 
         triples[TriplePattern(
             ground(edge.subject, "subject"), edge.predicate, ground(edge.object, "object"))] = None
-    return triples, nodes
+    return selected
 
 
 def summarize(store: WorkloadStore, request: SummaryRequest) -> Summary:
@@ -402,10 +385,12 @@ def summarize(store: WorkloadStore, request: SummaryRequest) -> Summary:
     if not len(store):
         raise NoRelevantQueries("the workload store is empty")
     relevant, warnings = _relevant_ids(store, request.seeds)
-    if request.strategy == ISUMMARY:
-        triples, nodes = _greedy_summary(store, request, relevant, warnings)
-    else:
-        triples, nodes = _random_summary(store, request, relevant, warnings)
+    # an ordered set: each triple once, in first-seen order
+    triples: dict[TriplePattern, None] = {}
+    strategy = _greedy_summary if request.strategy == ISUMMARY else _random_summary
+    rows = strategy(store, request, relevant, request.k - len(request.seeds),
+                    triples, _fresh_blanks(store), warnings)
+    nodes = [(seed, len(relevant)) for seed in request.seeds] + rows
 
     # provenance for concrete endpoints that ride in on paths or sampled edges
     ledger = {term for term, _ in nodes}
