@@ -190,15 +190,8 @@ def _cmd_summarize(args) -> int:
     try:
         seeds = [parse_term(text, base_prefix=args.base_prefix) for text in args.seeds]
     except ParseError as exc:
-        print(f"InvalidRequest: bad seed term: {exc}", file=sys.stderr)
-        return 2
-    try:
-        request = summarizer.SummaryRequest(
-            seeds, args.k, args.strategy, random_seed=args.random_seed
-        )
-    except summarizer.InvalidRequest as exc:
-        print(f"InvalidRequest: {exc}", file=sys.stderr)
-        return 2
+        raise summarizer.InvalidRequest(f"bad seed term: {exc}") from exc
+    request = summarizer.SummaryRequest(seeds, args.k, args.strategy, random_seed=args.random_seed)
     # as in evaluate: outputs that cannot be written fail before the load
     for path in (args.out, args.report):
         if path:
@@ -218,10 +211,9 @@ def _cmd_evaluate(args) -> int:
     strategies = args.strategies.split(",")
     unknown = [s for s in strategies if s not in summarizer.STRATEGIES]
     if unknown or len(set(strategies)) != len(strategies):
-        problem = (f"unknown strategy {unknown[0]!r}" if unknown else
-                   f"need a list of distinct strategies, got {args.strategies!r}")
-        print(f"InvalidRequest: {problem}", file=sys.stderr)
-        return 2
+        raise summarizer.InvalidRequest(
+            f"unknown strategy {unknown[0]!r}" if unknown else
+            f"need a list of distinct strategies, got {args.strategies!r}")
     if args.out:
         # the CSV is written only once the protocol has run; an --out that
         # cannot be written fails first, before the load and the protocol
@@ -325,6 +317,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
+    except summarizer.InvalidRequest as exc:
+        print(f"InvalidRequest: {exc}", file=sys.stderr)
+        return 2
     except DATA_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -77,6 +77,7 @@ _TERM_KEYWORDS = _REJECTED_KEYWORDS | {
 MAX_GROUP_DEPTH = 100
 
 _STRING_ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 class ParseError(Exception):
@@ -375,22 +376,13 @@ class _Parser:
         return self._term(tok, LITERAL, lexical)
 
     def _decode_string(self, tok) -> str:
-        body = tok[1][1:-1]
-        if "\\" not in body:
-            return body
-        out = []
-        i = 0
-        while i < len(body):
-            c = body[i]
-            if c == "\\":
-                if i + 1 >= len(body) or body[i + 1] not in _STRING_ESCAPES:
-                    self._error("bad string escape", tok)
-                out.append(_STRING_ESCAPES[body[i + 1]])
-                i += 2
-            else:
-                out.append(c)
-                i += 1
-        return "".join(out)
+        # the STRING token pairs every backslash with the character after it
+        def escape(match):
+            if match.group(1) not in _STRING_ESCAPES:
+                self._error("bad string escape", tok)
+            return _STRING_ESCAPES[match.group(1)]
+
+        return _ESCAPE_RE.sub(escape, tok[1][1:-1])
 
     def _skip_filter(self):
         if self._at_keyword("EXISTS", "NOT"):

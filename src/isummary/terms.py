@@ -152,9 +152,6 @@ class TriplePattern(_Triple):
     def terms(self) -> tuple[Term, Term, Term]:
         return tuple(self)
 
-    def sort_key(self):
-        return (self.subject.sort_key(), self.predicate.sort_key(), self.object.sort_key())
-
     def to_sparql(self) -> str:
         return f"{self.subject.to_sparql()} {self.predicate.to_sparql()} {self.object.to_sparql()}"
 
