@@ -214,7 +214,7 @@ def resolve_variables(
     warnings: list[SummaryWarning] = []
     steps = path.steps
     # step i joins nodes[i] and nodes[i + 1]; ends[i] are its (source, target) indices
-    nodes = [path.endpoints[0], *(step.waypoint for step in steps)]
+    nodes = [path.endpoints[0]] + [step.waypoint for step in steps]
     ends = [(i, i + 1) if step.direction == FORWARD else (i + 1, i)
             for i, step in enumerate(steps)]
 
