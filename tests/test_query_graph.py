@@ -359,6 +359,63 @@ def test_direct_hops_match_enumerator_oracle(ends, hops, collapsed, detours):
         assert len(signature.steps) == 1
 
 
+_LEG_PREDICATES = ["p", "q", "a", "?p", "?q", "?m"]
+
+
+def _leg(subject, predicate, obj):
+    """One pattern between a waypoint and an end, turned round where a literal
+    would be its subject or where ``?m a <end>`` would collapse ``?m``."""
+    if subject.startswith('"') or (predicate == "a" and subject == "?m" and obj in ("A", "B")):
+        subject, obj = obj, subject
+    return f"{subject} {predicate} {obj}"
+
+
+# two ends that are not neighbours, joined through 1-4 common neighbours
+# (concrete or variable, each reached by one or more parallel legs), so the
+# least renamed pair of hops is the path; ?p and ?m may repeat across legs and
+# ?m is both a waypoint and a predicate.  Around them: the duplicate `A a M`
+# edges type collapse leaves, a self-loop at an end and 3-4-hop detours that
+# must lose.
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    ends=st.sampled_from([("A", "B"), ("B", "A"), ("A", '"l"')]),
+    collapsed=st.booleans(),
+    loop=st.sampled_from([None, ("p", 0), ("?p", 0), ("q", 1)]),
+    detours=st.lists(st.lists(st.sampled_from(["p", "q", "?p"]), min_size=3, max_size=4),
+                     max_size=2),
+)
+def test_two_hop_paths_match_enumerator_oracle(data, ends, collapsed, loop, detours):
+    a, b = ends
+    pool = ["M", "?m", "_:w"] + (['"w"'] if b != '"l"' else [])
+    waypoints = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    patterns = []
+    for waypoint in waypoints:
+        legs = data.draw(st.lists(
+            st.tuples(st.sampled_from(_LEG_PREDICATES), st.booleans(),
+                      st.sampled_from(_LEG_PREDICATES), st.booleans()),
+            min_size=1, max_size=2))
+        for first, first_back, second, second_back in legs:
+            patterns.append(_leg(*((waypoint, first, a) if first_back else (a, first, waypoint))))
+            patterns.append(_leg(*((b, second, waypoint) if second_back else (waypoint, second, b))))
+    if collapsed:
+        # ?c and ?d both collapse to each IRI end, each leaving an `<end> a M` edge
+        patterns += [f"?{v}{i} a {cls}" for i, end in enumerate((a, b)) if end in ("A", "B")
+                     for v in "cd" for cls in (end, "M")]
+    if loop is not None and ends[loop[1]] in ("A", "B"):
+        patterns.append(f"{ends[loop[1]]} {loop[0]} {ends[loop[1]]}")
+    for i, predicates in enumerate(detours):
+        nodes = [a] + [f"?t{i}_{j}" for j in range(len(predicates) - 1)] + [b]
+        patterns += [_leg(nodes[j], predicate, nodes[j + 1])
+                     for j, predicate in enumerate(predicates)]
+    graph = build_graph(parse_query("SELECT * WHERE { " + " . ".join(patterns) + " }"))
+    x, y = _ENDS[a], _ENDS[b]
+    for u, v in ((x, y), (y, x)):
+        signature = shortest_path(graph, u, v)
+        assert signature == oracle_shortest_path(graph, u, v)
+        assert len(signature.steps) == 2
+
+
 def test_endpoint_only_a_predicate_is_no_path():
     graph = graph_of("SELECT * WHERE {A p B. B q C}")
     for end in (iri("A"), iri("B"), iri("C")):
