@@ -9,10 +9,14 @@ A hop along an edge, either way, is a ``Step``.  The graph keeps each node's
 distinct hops, so parallel edges with the same predicate and orientation are
 walked once.  ``shortest_path`` walks hops from the endpoint with the lesser
 sort key, and a path's signature is its walked steps with the variables
-renamed by position (``positional_name``, the one renaming function).  A
-direct hop between the endpoints needs no search: the least renamed one is
-the path.  Otherwise a breadth-first search from the other endpoint stops at
-the layer that reaches the walk's start, and the walk enumerates the
+renamed by position (``positional_name``, the one renaming function).  Paths
+of one and two hops need no search.  A direct hop between the endpoints
+comes first: the least renamed one is the path.  Next, each hop out of the
+walk's start is paired with each hop out of its waypoint that reaches the
+other endpoint, so the pairs run through the endpoints' common neighbours,
+and the least renamed pair is the path.  Only a path of three or more hops
+takes a breadth-first search from the other endpoint, which stops at the
+layer that reaches the walk's start, and a walk that enumerates the
 equal-length paths.  Sort keys are built only when a second equal-length
 path turns up, and then only for the first step where it differs from the
 least path so far.
@@ -202,13 +206,15 @@ def _renamed(steps: tuple[Step, ...]) -> tuple[Step, ...]:
 def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
     """Minimum-hop path between two concrete terms, as a canonical signature.
 
-    The path is walked from the endpoint with the lesser sort key.  When the
-    other endpoint is a direct neighbour, the least renamed hop to it is the
-    path, with no search.  Otherwise the walk follows the distances of a
-    breadth-first search from the other endpoint that stops at the layer
-    reaching the walk's start, and among equal-length paths the
-    lexicographically least signature wins; sort keys are built only for the
-    first step where a later path differs from the least one so far.
+    The path is walked from the endpoint with the lesser sort key, and among
+    equal-length paths the lexicographically least renamed signature wins.
+    There are three stages, each run only when the one before finds nothing:
+    a direct hop to the other endpoint; a common neighbour, that is a hop
+    out of the start paired with a hop out of its waypoint to the other
+    endpoint; and a walk that follows the distances of a breadth-first
+    search from the other endpoint, stopped at the layer reaching the
+    walk's start.  The first two run no search.  Sort keys are built only
+    for the first step where a later path differs from the least one so far.
     Returns None when either endpoint has no hop in the graph (it is absent,
     or only a predicate there) or they are not connected.
     """
@@ -231,6 +237,15 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
                 best = step
     if best is not None:
         return PathSignature((best,), (start, end))
+
+    for first in out:
+        for second in hops[first.waypoint]:
+            if second.waypoint == end:
+                steps = _renamed((first, second))
+                if best is None or _steps_less(steps, best):
+                    best = steps
+    if best is not None:
+        return PathSignature(best, (start, end))
 
     dist = _bfs_distances(graph, end, start)
     if start not in dist:

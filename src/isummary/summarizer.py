@@ -159,10 +159,13 @@ def link(
         raise ValueError("node to link is already in the summary")
     tally: Counter = Counter()
     for qid in _holders(store, relevant_ids, x):
-        for y in store.node_terms(qid) & partners:
-            signature = shortest_path(store.graph(qid), x, y)
-            if signature is not None:
-                tally[signature] += 1
+        ends = store.node_terms(qid) & partners
+        if ends:
+            graph = store.graph(qid)
+            for y in ends:
+                signature = shortest_path(graph, x, y)
+                if signature is not None:
+                    tally[signature] += 1
     if not tally:
         return None
     # sort keys only for the signatures tied at the top count

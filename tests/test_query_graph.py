@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isummary import query_graph
 from isummary.parser import ParsedQuery, parse_query
 from isummary.query_graph import (
     BACKWARD,
@@ -414,6 +415,18 @@ def test_two_hop_paths_match_enumerator_oracle(data, ends, collapsed, loop, deto
         signature = shortest_path(graph, u, v)
         assert signature == oracle_shortest_path(graph, u, v)
         assert len(signature.steps) == 2
+
+
+def test_one_and_two_hop_paths_run_no_search(monkeypatch):
+    searches = []
+    bfs = query_graph._bfs_distances
+    monkeypatch.setattr(query_graph, "_bfs_distances",
+                        lambda *args: searches.append(args) or bfs(*args))
+    graph = graph_of("SELECT * WHERE {A p B . B q ?m . ?m r C . C s D}")
+    for x, y, hops in (("A", "B", 1), ("B", "C", 2), ("A", "C", 3), ("B", "D", 3)):
+        searches.clear()
+        assert len(shortest_path(graph, iri(x), iri(y)).steps) == hops
+        assert (len(searches) >= 1) == (hops >= 3), (x, y, len(searches))
 
 
 def test_endpoint_only_a_predicate_is_no_path():

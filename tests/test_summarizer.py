@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from isummary import summarizer
-from isummary.query_graph import FORWARD
+from isummary import summarizer, workload
+from isummary.query_graph import FORWARD, shortest_path
 from isummary.rng import XorShift64Star
 from isummary.summarizer import (
     BUDGET_SHORTFALL,
@@ -28,7 +28,7 @@ from isummary.summarizer import (
 )
 from isummary.synth import SyntheticSpec
 from isummary.terms import RDF_TYPE, Term, TriplePattern, blank, iri, literal, variable
-from isummary.workload import load_workload
+from isummary.workload import WorkloadStore, load_workload
 
 from conftest import (
     UNIVERSITY_QUERIES,
@@ -196,6 +196,71 @@ def test_link_renames_predicate_before_waypoint():
     store = store_from_texts(["SELECT * WHERE { A ?v ?x . ?x q B }"])
     ids = store.ids()
     assert link(store, ids, iri("A"), [iri("B")]) == _oracle_link(store, ids, iri("A"), [iri("B")])
+
+
+def _link_calls(monkeypatch, store, ids, x, visited):
+    """The calls one ``link`` makes: ``shortest_path`` per (record, partner),
+    ``WorkloadStore.graph`` per record, and ``build_graph`` in all."""
+    paths, graphs, builds = Counter(), Counter(), Counter()
+    records = {}
+    graph, build = WorkloadStore.graph, workload.build_graph
+
+    def counted_graph(self, qid):
+        graphs[qid] += 1
+        g = graph(self, qid)
+        records[id(g)] = qid
+        return g
+
+    def counted_path(g, u, v):
+        paths[records[id(g)], v if u == x else u] += 1
+        return shortest_path(g, u, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WorkloadStore, "graph", counted_graph)
+        patch.setattr(workload, "build_graph",
+                      lambda *args: builds.update(("build",)) or build(*args))
+        patch.setattr(summarizer, "shortest_path", counted_path)
+        link(store, ids, x, visited)
+    return paths, graphs, builds["build"]
+
+
+def check_link_calls(monkeypatch, store, ids, x, visited):
+    # one path per (relevant holder of x, partner among its node terms), one
+    # graph fetch per such holder, and on a fresh store one build per holder
+    expected = Counter({(qid, y): 1 for qid in ids
+                        if any(x in pattern.terms() for pattern in store.query(qid).patterns)
+                        for y in store.node_terms(qid) & set(visited)})
+    paths, graphs, builds = _link_calls(monkeypatch, store, ids, x, visited)
+    assert paths == expected
+    holders = {qid for qid, _ in expected}
+    assert set(graphs) == holders and max(graphs.values(), default=0) <= 1
+    assert builds == len(holders)
+
+
+
+def test_link_calls_per_record_on_university_fixture(monkeypatch):
+    nodes = _store_nodes(store_from_texts(UNIVERSITY_QUERIES))
+    partnered = 0
+    for x in nodes:
+        store = store_from_texts(UNIVERSITY_QUERIES)
+        visited = [t for t in nodes if t != x]
+        check_link_calls(monkeypatch, store, store.ids(), x, visited)
+        partnered += any(len(store.node_terms(q) & set(visited)) > 1 for q in store.filter([x]))
+    assert partnered  # some record holds x and more than one partner
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), texts=_slot_queries)
+def test_link_calls_per_record_on_random_stores(data, texts):
+    store = store_from_texts(texts)
+    nodes = _store_nodes(store)
+    assume(len(nodes) >= 2)
+    ids = data.draw(st.lists(st.sampled_from(store.ids()), unique=True))
+    x = data.draw(st.sampled_from(_SLOT_ENDS[:-1]))
+    visited = data.draw(st.lists(st.sampled_from([t for t in nodes if t != x]),
+                                 min_size=1, unique=True))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_link_calls(monkeypatch, store, ids, x, visited)
 
 
 def test_link_precondition_checks(university_store):
