@@ -198,11 +198,14 @@ def test_link_renames_predicate_before_waypoint():
     assert link(store, ids, iri("A"), [iri("B")]) == _oracle_link(store, ids, iri("A"), [iri("B")])
 
 
-def _link_calls(monkeypatch, store, ids, x, visited):
-    """The calls one ``link`` makes: ``shortest_path`` per (record, partner),
-    ``WorkloadStore.graph`` per record, and ``build_graph`` in all."""
-    paths, graphs, builds = Counter(), Counter(), Counter()
-    records = {}
+def check_link_calls(monkeypatch, store, ids, x, visited):
+    """One ``link`` on a fresh store makes one ``shortest_path`` call per
+    (relevant holder of ``x``, partner among its node terms), fetches each
+    such holder's graph once and builds it once."""
+    expected = Counter({(qid, y): 1 for qid in ids
+                        if any(x in pattern.terms() for pattern in store.query(qid).patterns)
+                        for y in store.node_terms(qid) & set(visited)})
+    paths, graphs, builds, records = Counter(), Counter(), [], {}
     graph, build = WorkloadStore.graph, workload.build_graph
 
     def counted_graph(self, qid):
@@ -217,25 +220,13 @@ def _link_calls(monkeypatch, store, ids, x, visited):
 
     with monkeypatch.context() as patch:
         patch.setattr(WorkloadStore, "graph", counted_graph)
-        patch.setattr(workload, "build_graph",
-                      lambda *args: builds.update(("build",)) or build(*args))
+        patch.setattr(workload, "build_graph", lambda *args: builds.append(args) or build(*args))
         patch.setattr(summarizer, "shortest_path", counted_path)
         link(store, ids, x, visited)
-    return paths, graphs, builds["build"]
-
-
-def check_link_calls(monkeypatch, store, ids, x, visited):
-    # one path per (relevant holder of x, partner among its node terms), one
-    # graph fetch per such holder, and on a fresh store one build per holder
-    expected = Counter({(qid, y): 1 for qid in ids
-                        if any(x in pattern.terms() for pattern in store.query(qid).patterns)
-                        for y in store.node_terms(qid) & set(visited)})
-    paths, graphs, builds = _link_calls(monkeypatch, store, ids, x, visited)
     assert paths == expected
     holders = {qid for qid, _ in expected}
     assert set(graphs) == holders and max(graphs.values(), default=0) <= 1
-    assert builds == len(holders)
-
+    assert len(builds) == len(holders)
 
 
 def test_link_calls_per_record_on_university_fixture(monkeypatch):
