@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -147,16 +148,42 @@ def _derive_seed(rng_seed: int, fold: int, seed_term: Term, k: int, strategy: st
     return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "big")
 
 
-def _seed_pool(counts: Counter, order: list[Term], test: WorkloadStore) -> list[Term]:
+class _SeedPool:
+    """``order`` without the terms at the sorted positions ``dropped``: a
+    read-only sequence whose reads bisect the dropped positions."""
+
+    __slots__ = ("_order", "_shifts", "_len")
+
+    def __init__(self, order: list[Term], dropped: list[int]):
+        self._order = order
+        # shifts[m]: the kept positions before dropped[m], ascending
+        self._shifts = [d - m for m, d in enumerate(dropped)]
+        self._len = len(order) - len(dropped)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Term:
+        if not 0 <= i < self._len:
+            raise IndexError(i)
+        # the pool's i-th term follows exactly the dropped positions m with shifts[m] <= i
+        return self._order[i + bisect_right(self._shifts, i)]
+
+
+def _seed_pool(counts: Counter, order: list[Term], position: dict[Term, int],
+               test: WorkloadStore) -> _SeedPool:
     """The node terms of the fold's train part, in sort order.
 
     ``counts`` are the node frequencies of the whole store that the train and
-    test parts split, and ``order`` is their terms in sort order.  A term
-    counts once per query, so it is a train node exactly when the store
-    counts it more often than the test part does.
+    test parts split, ``order`` is their terms in sort order and
+    ``position`` maps each term to its index in ``order``.  A term counts
+    once per query, so it is a train node exactly when the store counts it
+    more often than the test part does: only test nodes can drop out, and the
+    pool costs a count of the test part.
     """
-    in_test = node_frequencies(test, test.ids()).get
-    return [t for t in order if counts[t] > in_test(t, 0)]
+    in_test = node_frequencies(test, test.ids())
+    dropped = sorted(position[t] for t, n in in_test.items() if counts[t] == n)
+    return _SeedPool(order, dropped)
 
 
 def _sample_seed_terms(pool: Sequence[Term], test: WorkloadStore, count: int,
@@ -194,13 +221,18 @@ def evaluate(
 
     The shuffle runs only as far as the test part (``shuffle_tail``): the
     train part is a view in the store's order, so only its member set and the
-    rng state that seed sampling continues from matter.
+    rng state that seed sampling continues from matter.  Apart from its
+    summaries, a fold costs its test part: ``store.split`` makes both views
+    from the test ids, and the seed pool is the store's sorted node terms
+    less the test nodes that only the test part holds, read by bisection
+    (``_seed_pool``).
     """
     if not k_values:
         raise ValueError("k_values must be non-empty")
     all_ids = [q.id for q in store.queries]
     counts = node_frequencies(store, all_ids)
     order = sorted(counts, key=Term.sort_key)
+    position = dict(zip(order, range(len(order))))
     rows: list[EvalRow] = []
     warnings: list[str] = []
     fold_means: list[float] = []
@@ -210,12 +242,10 @@ def evaluate(
         ids = list(all_ids)
         cut = int(len(ids) * config.split_ratio)
         rng.shuffle_tail(ids, len(ids) - cut)
-        train_ids, test_ids = ids[:cut], ids[cut:]
-        if not train_ids or not test_ids:
+        if not 0 < cut < len(ids):
             raise InsufficientWorkload(f"fold {fold} has an empty train or test part")
-        train = store.subset(train_ids)
-        test = store.subset(test_ids)
-        seeds = _sample_seed_terms(_seed_pool(counts, order, test), test,
+        train, test = store.split(ids[cut:])
+        seeds = _sample_seed_terms(_seed_pool(counts, order, position, test), test,
                                    config.sample_seeds, rng)
         if len(seeds) < config.sample_seeds:
             warnings.append(f"{SEED_SAMPLING_SHORTFALL}: drew {len(seeds)} of"

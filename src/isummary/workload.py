@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import logging
 from collections import Counter
 from pathlib import Path
@@ -54,14 +55,17 @@ class WorkloadStore:
     A store built from queries is a root: it owns the id-to-query map, the
     term index, the lazy per-query graph and node-term memos, and the table of
     parts (steps, hop tuples, collapsed triples) its graphs share.  A view
-    from ``subset`` is those five, shared by reference, plus its member ids.
+    from ``subset`` or ``split`` is those five, shared by reference, plus its
+    member ids.
     So ``len``, ``filter``, ``ids`` and ``query`` answer for members only,
     ``graph`` and ``node_terms`` for any id the root holds, and ``queries``
     lists the members in the root's order at the cost of a pass over the
     root.  Query ids are never renumbered, so memoized graphs stay valid in
     every view.  Slot counts depend on the members, so each store and view
     has its own memo of them; a view holding more than half of its parent's
-    members derives its counts from the parent's (see ``slot_counts``).
+    members derives its counts from the parent's (see ``slot_counts``).  A
+    fold's ``split`` costs its test part plus one set difference: the train
+    view is handed the ids it lacks, the test view's members.
     Treated as immutable after construction.
     """
 
@@ -89,7 +93,8 @@ class WorkloadStore:
         self._node_terms: dict[int, frozenset[Term]] = {}
         self._slot_counts: dict[tuple[Term, str, str], Counter] = {}
         # for a view holding more than half of its parent: the parent (set by
-        # `subset`) and the parent's ids the view lacks (set by `slot_counts`)
+        # `_view`) and the parent's ids the view lacks (set by `split`, or
+        # else by `slot_counts` on its first miss)
         self._parent: WorkloadStore | None = None
         self._held_out: set[int] | None = None
 
@@ -183,22 +188,38 @@ class WorkloadStore:
         return counts
 
     def _scan_slots(self, anchor: Term, at: int, of: int, ids: Iterable[int]) -> Counter:
-        counts = Counter()
-        for qid in ids:
-            counts.update({
-                p[of] for p in self._by_id[qid].patterns if p[at] == anchor and p[of].concrete
-            })
-        return counts
+        by_id = self._by_id
+        # one Counter over every query's set: a query counts once per term
+        return Counter(itertools.chain.from_iterable(
+            {p[of] for p in by_id[qid].patterns if p[at] == anchor and p[of].concrete}
+            for qid in ids
+        ))
+
+    def _view(self, members: AbstractSet[int], held_out: set[int] | None = None) -> "WorkloadStore":
+        """A view over ``members``, a subset of this store's members.
+        ``held_out``, if given, must be this store's members that it lacks."""
+        view = copy.copy(self)
+        view._members = members
+        view._slot_counts = {}
+        view._parent = self if 2 * len(members) > len(self._members) else None
+        view._held_out = held_out
+        view.rejected_count = 0
+        return view
 
     def subset(self, ids: Iterable[int]) -> "WorkloadStore":
         """A view over the member queries with the given ids."""
-        view = copy.copy(self)
-        view._members = self._members & set(ids)
-        view._slot_counts = {}
-        view._parent = self if 2 * len(view._members) > len(self._members) else None
-        view._held_out = None
-        view.rejected_count = 0
-        return view
+        return self._view(self._members & set(ids))
+
+    def split(self, ids: Iterable[int]) -> tuple["WorkloadStore", "WorkloadStore"]:
+        """``(train, test)``: views over the members without and with the
+        given ids.
+
+        The test view is ``subset(ids)``.  The train view is one set
+        difference, and the ids it lacks are the test view's members, so its
+        slot counts never compute them (see ``slot_counts``).
+        """
+        test = self.subset(ids)
+        return self._view(self._members - test._members, test._members), test
 
 
 def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:

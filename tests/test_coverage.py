@@ -172,6 +172,11 @@ def test_evaluate_row_count_and_sorting():
     assert len(result.fold_stats.fold_means) == 2
 
 
+def _positions(order):
+    """Each term's index in ``order``, as ``evaluate`` maps it once per call."""
+    return dict(zip(order, range(len(order))))
+
+
 def test_sampled_seeds_occur_in_test_part():
     # Lab is a node of the train part only; the shared index still knows it
     store = store_from_texts([
@@ -180,7 +185,9 @@ def test_sampled_seeds_occur_in_test_part():
     ])
     test = store.subset([1])
     counts = node_frequencies(store, store.ids())
-    pool = _seed_pool(counts, sorted(counts, key=Term.sort_key), test)
+    order = sorted(counts, key=Term.sort_key)
+    pool = _seed_pool(counts, order, _positions(order), test)
+    assert list(pool) == [iri("Lab"), PERSON]
     for rng_seed in range(20):
         # a shortfall: evaluate warns for it
         assert _sample_seed_terms(pool, test, 2, XorShift64Star(rng_seed)) == [PERSON]
@@ -209,7 +216,45 @@ def test_seed_pool_is_the_train_parts_sorted_nodes(log, test_ids):
     # oracle: the seed pool as each fold once built it, the train part's node counts, sorted
     records = {q.id: q.patterns for q in store.queries}
     train_counts = oracle.node_frequencies(records, train.ids())
-    assert _seed_pool(counts, order, test) == sorted(train_counts, key=oracle.sort_key)
+    pool = _seed_pool(counts, order, _positions(order), test)
+    assert list(pool) == sorted(train_counts, key=oracle.sort_key)
+
+
+def _list_pool(counts, order, test):
+    """Oracle: the seed pool as a list, filtered from the whole sorted vocabulary."""
+    in_test = node_frequencies(test, test.ids()).get
+    return [t for t in order if counts[t] > in_test(t, 0)]
+
+
+# sort order of the node terms: _:b, then the IRIs A B C p, then the literals 7 "l" "l"@en
+@settings(max_examples=300, deadline=None)
+@given(log=_pool_logs, test_ids=st.sets(st.integers(min_value=0, max_value=7)))
+# a dropped term at the first position (_:b), and at the last ("l"@en)
+@example(log=[[("_:b", "q", "A")], [("A", "q", "B")]], test_ids={0})
+@example(log=[[("A", "p", '"l"@en')], [("A", "p", "B")]], test_ids={0})
+# adjacent dropped runs: _:b A, then C p; B and 7 stay
+@example(log=[[("_:b", "p", "A"), ("?x", "q", "C"), ("?x", "q", "p")],
+              [("?x", "p", "B"), ("?x", "p", "7")]], test_ids={0})
+# every term dropped (an empty pool), and none dropped
+@example(log=[[("A", "p", "B")], [("B", "q", "_:b")]], test_ids={0, 1})
+@example(log=[[("A", "p", "B")], [("A", "q", "B")]], test_ids={1})
+def test_seed_pool_draws_match_list_oracle(log, test_ids):
+    store = store_from_texts(_texts(log))
+    test = store.subset(test_ids)
+    counts = node_frequencies(store, store.ids())
+    order = sorted(counts, key=Term.sort_key)
+    pool = _seed_pool(counts, order, _positions(order), test)
+    expected = _list_pool(counts, order, test)
+    assert len(pool) == len(expected)
+    assert [pool[i] for i in range(len(pool))] == expected
+    for bound in (len(pool), len(pool) + 1, -1):
+        with pytest.raises(IndexError):
+            pool[bound]
+    for rng_seed in range(31):
+        rng, oracle_rng = XorShift64Star(rng_seed), XorShift64Star(rng_seed)
+        assert (_sample_seed_terms(pool, test, 3, rng)
+                == _sample_seed_terms(expected, test, 3, oracle_rng))
+        assert rng.next_u64() == oracle_rng.next_u64()
 
 
 def test_evaluate_deterministic():

@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 from pathlib import Path
 from urllib.parse import quote
 
@@ -491,6 +492,57 @@ def test_subset_view_property(data, texts):
     assert nested.filter(terms) == direct.filter(terms)
     # the view shares the index; no lookup may have changed it
     assert store.term_index == _scanned_index(store)
+
+
+_SLOTS = ("subject", "predicate", "object")
+
+
+def _scanned_slot_counts(store, anchor, anchor_slot, slot):
+    """Oracle: per member query, one for each distinct concrete term in
+    ``slot`` of its patterns that hold ``anchor`` in ``anchor_slot``."""
+    counts = Counter()
+    for q in store.queries:
+        seen = set()
+        for pattern in q.patterns:
+            term = getattr(pattern, slot)
+            if getattr(pattern, anchor_slot) == anchor and term.concrete:
+                seen.add(term)
+        for term in seen:
+            counts[term] += 1
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), texts=_query_texts)
+def test_split_partitions_a_store_and_derives_train_counts(data, texts):
+    root = store_from_texts(texts)
+    nested = root.subset(data.draw(st.lists(st.sampled_from(root.ids()), min_size=1)))
+    anchors = sorted(root.term_index, key=lambda t: t.sort_key()) + [iri("D")]
+    keys = [(anchor, anchor_slot, slot) for anchor in anchors
+            for anchor_slot in _SLOTS for slot in _SLOTS if slot != anchor_slot]
+    # outsiders: ids the store lacks (the root's ids outside the nested view
+    # too) and ids no query has
+    outsiders = st.lists(st.integers(min_value=0, max_value=len(texts) + 2))
+    for store in (root, nested):
+        ids = store.ids()
+        # fewer than half of the members, so the train part derives its slot
+        # counts from the store's, or any of them
+        size = data.draw(st.sampled_from([(len(ids) - 1) // 2, len(ids)]))
+        asked = data.draw(st.lists(st.sampled_from(ids), max_size=size)) + data.draw(outsiders)
+        train, test = store.split(asked)
+
+        assert sorted(train.ids() + test.ids()) == ids
+        assert not set(train.ids()) & set(test.ids())
+        direct = store.subset(asked)
+        assert test.ids() == direct.ids() and test.queries == direct.queries
+        assert train.rejected_count == test.rejected_count == 0
+        assert (train._parent is store) == (2 * len(train) > len(store))
+        train_direct = store.subset(train.ids())
+        for key in keys:
+            expected = _scanned_slot_counts(train, *key)
+            assert train.slot_counts(*key) == expected
+            assert train_direct.slot_counts(*key) == expected
+            assert test.slot_counts(*key) == _scanned_slot_counts(test, *key)
 
 
 def test_graphs_of_a_store_and_its_views_share_steps_and_hop_tuples():
