@@ -223,9 +223,7 @@ def evaluate(
     train part is a view in the store's order, so only its member set and the
     rng state that seed sampling continues from matter.  Apart from its
     summaries, a fold costs its test part: ``store.split`` makes both views
-    from the test ids, and the seed pool is the store's sorted node terms
-    less the test nodes that only the test part holds, read by bisection
-    (``_seed_pool``).
+    from the test ids, and ``_seed_pool`` counts only the test part.
     """
     if not k_values:
         raise ValueError("k_values must be non-empty")

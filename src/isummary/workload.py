@@ -63,9 +63,7 @@ class WorkloadStore:
     root.  Query ids are never renumbered, so memoized graphs stay valid in
     every view.  Slot counts depend on the members, so each store and view
     has its own memo of them; a view holding more than half of its parent's
-    members derives its counts from the parent's (see ``slot_counts``).  A
-    fold's ``split`` costs its test part plus one set difference: the train
-    view is handed the ids it lacks, the test view's members.
+    members derives its counts from the parent's (see ``slot_counts``).
     Treated as immutable after construction.
     """
 
@@ -195,7 +193,8 @@ class WorkloadStore:
             for qid in ids
         ))
 
-    def _view(self, members: AbstractSet[int], held_out: set[int] | None = None) -> "WorkloadStore":
+    def _view(self, members: AbstractSet[int],
+              held_out: set[int] | None = None) -> "WorkloadStore":
         """A view over ``members``, a subset of this store's members.
         ``held_out``, if given, must be this store's members that it lacks."""
         view = copy.copy(self)
