@@ -531,8 +531,8 @@ def test_split_partitions_a_store_and_derives_train_counts(data, texts):
         asked = data.draw(st.lists(st.sampled_from(ids), max_size=size)) + data.draw(outsiders)
         train, test = store.split(asked)
 
+        # ids has no repeats, so the parts are disjoint too
         assert sorted(train.ids() + test.ids()) == ids
-        assert not set(train.ids()) & set(test.ids())
         direct = store.subset(asked)
         assert test.ids() == direct.ids() and test.queries == direct.queries
         assert train.rejected_count == test.rejected_count == 0
