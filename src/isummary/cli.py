@@ -1,7 +1,8 @@
 """Command-line entry point: summarize, evaluate, oracle and synth commands.
 
 Exit codes: 0 on success, 2 on usage errors, 3 on data errors (the error
-name is printed on stderr).
+name is printed on stderr).  ``_usage`` makes the ValueError of any option
+check (log format, fold protocol, synth spec) a usage error, before any load.
 """
 
 from __future__ import annotations
@@ -121,34 +122,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage(parser, make, **fields):
+    """``make(**fields)``, or a usage error (exit 2) for the ValueError it raises."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def check_log_options(parser, args) -> None:
     if hasattr(args, "log"):
-        try:
-            workload.check_format(args.format, args.tsv_column)
-        except ValueError as exc:
-            parser.error(str(exc))
+        _usage(parser, workload.check_format, format=args.format, tsv_column=args.tsv_column)
 
 
 def check_protocol_options(parser, args, **weights) -> CoverageConfig:
     """The fold-protocol options as a config, or a usage error (exit 2) for a
     bad one; ``weights`` (``w_node``, ``w_edge``) default as in CoverageConfig."""
-    try:
-        return CoverageConfig(split_ratio=args.split, folds=args.folds,
-                              sample_seeds=args.sample_seeds, rng_seed=args.rng, **weights)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _usage(parser, CoverageConfig, split_ratio=args.split, folds=args.folds,
+                  sample_seeds=args.sample_seeds, rng_seed=args.rng, **weights)
 
 
 def check_synth_options(parser, args) -> synth.SyntheticSpec:
     """The synth options as a spec, or a usage error (exit 2) for a bad one."""
-    try:
-        return synth.SyntheticSpec(
-            n_queries=args.n_queries, classes=args.classes, predicates=args.predicates,
-            instances=args.instances, skew=args.skew, mean_patterns=args.mean_patterns,
-            rng_seed=args.rng,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _usage(parser, synth.SyntheticSpec, n_queries=args.n_queries, classes=args.classes,
+                  predicates=args.predicates, instances=args.instances, skew=args.skew,
+                  mean_patterns=args.mean_patterns, rng_seed=args.rng)
 
 
 def _write(path, emit) -> None:

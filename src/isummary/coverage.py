@@ -3,7 +3,8 @@
 A test query's coverage is the weighted average of the fraction of its
 concrete nodes present in the summary and the fraction of its edges
 instantiated by a summary triple; the report averages over the test queries
-that contain the seed(s).
+that contain the seed(s).  One mean, ``_mean``, gives that average and each
+evaluation row's node and edge means from the same per-query rows.
 """
 
 from __future__ import annotations
@@ -118,9 +119,13 @@ def coverage(
         per_query.append((qid, node_fraction, edge_fraction, combined))
 
     n = len(per_query)
-    mean = sum(row[3] for row in per_query) / n if n else 0.0
     warnings = () if n else (NO_MATCHING_TEST_QUERIES,)
-    return CoverageReport(tuple(per_query), mean, n, warnings)
+    return CoverageReport(tuple(per_query), _mean(per_query, 3), n, warnings)
+
+
+def _mean(rows, column: int) -> float:
+    """The mean of ``column`` over the per-query ``rows``, 0.0 for none."""
+    return sum(row[column] for row in rows) / len(rows) if rows else 0.0
 
 
 @dataclass(frozen=True)
@@ -266,14 +271,9 @@ def evaluate(
                         )
                         continue
                     report = coverage(summary, test, (seed,), config)
-                    node_cov = (
-                        sum(r[1] for r in report.per_query) / report.n if report.n else 0.0
-                    )
-                    edge_cov = (
-                        sum(r[2] for r in report.per_query) / report.n if report.n else 0.0
-                    )
                     fold_rows.append(EvalRow(
-                        fold, seed, k, strategy, report.n, node_cov, edge_cov, report.mean
+                        fold, seed, k, strategy, report.n, _mean(report.per_query, 1),
+                        _mean(report.per_query, 2), report.mean,
                     ))
         if fold_rows:
             fold_means.append(sum(r.coverage for r in fold_rows) / len(fold_rows))

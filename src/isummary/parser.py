@@ -12,7 +12,8 @@ One regex cuts a text into ``(kind, value, start)`` tokens, closed by an END
 token at the end of the text, and a recursive descent parser walks them.
 Loading a log passes one intern table to every ``parse_query`` call, so each
 distinct term and triple pattern is built once and each distinct accepted
-record text is parsed once.
+record text is parsed once.  The parser builds both by ``_Parser._interned``,
+which rejects a malformed one with a :class:`ParseError` at its token.
 
 Most logged queries are plain ``SELECT ?v… WHERE { s p o . … }`` texts with
 whitespace between tokens, and a fast path reads those from one whitespace
@@ -124,10 +125,10 @@ class _Parser:
         self.table = {} if intern is None else intern
         self.depth = 0
 
-    def _term(self, tok, kind: str, lexical: str, extra: str | None = None) -> Term:
-        """The term read from ``tok``; a malformed one rejects the query there."""
+    def _interned(self, tok, make, fields: tuple):
+        """The table's one ``make(*fields)``; a ValueError rejects the query at ``tok``."""
         try:
-            return interned(self.table, Term, (kind, lexical, extra))
+            return interned(self.table, make, fields)
         except ValueError as exc:
             self._error(str(exc), tok)
 
@@ -283,10 +284,12 @@ class _Parser:
             self._error("expected '.'", subj_tok)
         while True:
             predicate = self._parse_term(predicate=True)
-            self._append_pattern(patterns, subject, predicate, self._parse_term(), subj_tok)
+            patterns.append(self._interned(
+                subj_tok, TriplePattern, (subject, predicate, self._parse_term())))
             while self._at_punct(","):
                 self._advance()
-                self._append_pattern(patterns, subject, predicate, self._parse_term(), subj_tok)
+                patterns.append(self._interned(
+                    subj_tok, TriplePattern, (subject, predicate, self._parse_term())))
             if self._at_punct(";"):
                 self._advance()
                 kind, value, _ = self._peek()
@@ -295,12 +298,6 @@ class _Parser:
                     break
                 continue
             break
-
-    def _append_pattern(self, patterns, subject, predicate, obj, subj_tok):
-        try:
-            patterns.append(interned(self.table, TriplePattern, (subject, predicate, obj)))
-        except ValueError as exc:
-            self._error(str(exc), subj_tok)
 
     def _parse_term(self, predicate: bool = False) -> Term:
         """The term the next token spells, in any position.  A predicate is a
@@ -315,7 +312,7 @@ class _Parser:
                 self._error("expected predicate", tok)
         self._advance()
         if kind == "VAR":
-            term = self._term(tok, VARIABLE, value[1:])
+            term = self._interned(tok, Term, (VARIABLE, value[1:], None))
         elif kind == "NAME":
             if predicate and value == "a":
                 term = self.table.setdefault(RDF_TYPE, RDF_TYPE)
@@ -328,9 +325,9 @@ class _Parser:
         elif kind == "STRING":
             term = self._finish_literal(tok)
         elif kind == "BLANK":
-            term = self._term(tok, BLANK, value[2:])
+            term = self._interned(tok, Term, (BLANK, value[2:], None))
         elif kind == "NUMBER":
-            term = self._term(tok, LITERAL, value)
+            term = self._interned(tok, Term, (LITERAL, value, None))
         elif kind == "OTHER":
             self._error(f"unexpected character {value!r}", tok)
         else:
@@ -343,7 +340,7 @@ class _Parser:
         inner = tok[1][1:-1]
         if not inner:
             self._error("empty IRI", tok)
-        return self._term(tok, IRI, inner)
+        return self._interned(tok, Term, (IRI, inner, None))
 
     def _term_from_name(self, tok) -> Term:
         value = tok[1]
@@ -354,15 +351,15 @@ class _Parser:
             expanded = self.prefixes[prefix] + local
             if not expanded:
                 self._error("empty IRI", tok)
-            return self._term(tok, IRI, expanded)
-        return self._term(tok, IRI, self.base_prefix + value)
+            return self._interned(tok, Term, (IRI, expanded, None))
+        return self._interned(tok, Term, (IRI, self.base_prefix + value, None))
 
     def _finish_literal(self, tok) -> Term:
         lexical = self._decode_string(tok)
         kind, value, _ = self._peek()
         if kind == "LANGTAG":
             self._advance()
-            return self._term(tok, LITERAL, lexical, value)
+            return self._interned(tok, Term, (LITERAL, lexical, value))
         if kind == "DTSEP":
             self._advance()
             dt_tok = self._advance()
@@ -372,8 +369,8 @@ class _Parser:
                 dt = self._term_from_name(dt_tok)
             else:
                 self._error("expected datatype IRI", dt_tok)
-            return self._term(tok, LITERAL, lexical, dt.lexical)
-        return self._term(tok, LITERAL, lexical)
+            return self._interned(tok, Term, (LITERAL, lexical, dt.lexical))
+        return self._interned(tok, Term, (LITERAL, lexical, None))
 
     def _decode_string(self, tok) -> str:
         # the STRING token pairs every backslash with the character after it

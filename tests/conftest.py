@@ -1,5 +1,5 @@
 import importlib.util
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -65,20 +65,25 @@ def _random_store(rng, n_queries):
 
 def collapsed_nodes(query):
     """Oracle: the node set of the query's type-collapsed graph, variables
-    included, computed without calling the package.
+    included: ``oracle.collapse``'s concrete nodes plus its edges' ends (an
+    absorbed type pattern has only concrete ends)."""
+    nodes, edges = oracle.collapse(query.patterns)
+    return nodes | {t for subject, _, obj in edges for t in (subject, obj)}
 
-    A variable with rdf:type patterns naming IRIs is relabeled by its least
-    class (by IRI text); each pattern's relabeled subject and object is a
-    node.  Its concrete part is ``oracle.collapse``'s node set, which must be
-    the store's node terms: type collapse never adds or removes a concrete
-    node.
-    """
-    classes = {}
-    for subject, predicate, obj in query.patterns:
-        if predicate == oracle.RDF_TYPE and subject.kind == "variable" and obj.kind == "iri":
-            classes.setdefault(subject, []).append(obj)
-    relabel = {v: min(cs, key=lambda c: c.lexical) for v, cs in classes.items()}
-    return {relabel.get(t, t) for subject, _, obj in query.patterns for t in (subject, obj)}
+
+def scanned_slot_counts(store, anchor, anchor_slot, slot):
+    """Oracle: per member query, one for each distinct concrete term in
+    ``slot`` of its patterns that hold ``anchor`` in ``anchor_slot``."""
+    counts = Counter()
+    for q in store.queries:
+        seen = set()
+        for pattern in q.patterns:
+            term = getattr(pattern, slot)
+            if getattr(pattern, anchor_slot) == anchor and term.concrete:
+                seen.add(term)
+        for term in seen:
+            counts[term] += 1
+    return counts
 
 
 def _oracle_signature(start, hops):

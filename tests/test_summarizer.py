@@ -36,6 +36,7 @@ from conftest import (
     generate_synthetic,
     oracle,
     oracle_shortest_path,
+    scanned_slot_counts,
     store_from_texts,
 )
 
@@ -263,58 +264,6 @@ def test_link_precondition_checks(university_store):
 
 # -- slot counts -----------------------------------------------------------------
 
-def _position_counts(store, predicate, side):
-    """Oracle: distinct-query counts of concrete terms in (predicate, side) position."""
-    counts = Counter()
-    for qid in store.filter((predicate,)):
-        seen = set()
-        for pattern in store.query(qid).patterns:
-            if pattern.predicate != predicate:
-                continue
-            term = pattern.subject if side == "subject" else pattern.object
-            if term.concrete:
-                seen.add(term)
-        for term in seen:
-            counts[term] += 1
-    return counts
-
-
-def _predicate_counts(store, source, target):
-    """Oracle: distinct-query counts of concrete predicates seen next to either endpoint."""
-    counts = Counter()
-    for anchor, side in ((source, "subject"), (target, "object")):
-        if not anchor.concrete:
-            continue
-        for qid in store.filter((anchor,)):
-            seen = set()
-            for pattern in store.query(qid).patterns:
-                end = pattern.subject if side == "subject" else pattern.object
-                if end == anchor and pattern.predicate.concrete:
-                    seen.add(pattern.predicate)
-            for term in seen:
-                counts[term] += 1
-    return counts
-
-
-@settings(max_examples=150, deadline=None)
-@given(texts=_slot_queries)
-@example(texts=["SELECT * WHERE {A p B . A p B . p q A . ?x ?v p}",
-                'SELECT * WHERE {A p "l" . _:b p 7 . B p A}'])
-def test_slot_counts_match_position_and_predicate_oracles(texts):
-    store = store_from_texts(texts)
-    for predicate in (iri("p"), iri("q"), iri("A"), RDF_TYPE):
-        for side in ("subject", "object"):
-            assert store.slot_counts(predicate, "predicate", side) == \
-                _position_counts(store, predicate, side)
-    for source in _SLOT_ENDS:
-        for target in _SLOT_ENDS:
-            summed = Counter()
-            for anchor, side in ((source, "subject"), (target, "object")):
-                if anchor.concrete:
-                    summed.update(store.slot_counts(anchor, side, "predicate"))
-            assert summed == _predicate_counts(store, source, target)
-
-
 _SLOT_KEYS = [
     (predicate, "predicate", side)
     for predicate in (iri("p"), iri("q"), iri("A"), RDF_TYPE) for side in ("subject", "object")
@@ -324,15 +273,16 @@ _SLOT_KEYS = [
 
 def _check_slot_counts(store):
     """Every memoized slot count of ``store`` equals the scan of its own members."""
-    unbound = variable("x")
-    for anchor, anchor_slot, slot in _SLOT_KEYS:
-        if anchor_slot == "predicate":
-            expected = _position_counts(store, anchor, slot)
-        elif anchor_slot == "subject":
-            expected = _predicate_counts(store, anchor, unbound)
-        else:
-            expected = _predicate_counts(store, unbound, anchor)
-        assert store.slot_counts(anchor, anchor_slot, slot) == expected
+    for key in _SLOT_KEYS:
+        assert store.slot_counts(*key) == scanned_slot_counts(store, *key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=_slot_queries)
+@example(texts=["SELECT * WHERE {A p B . A p B . p q A . ?x ?v p}",
+                'SELECT * WHERE {A p "l" . _:b p 7 . B p A}'])
+def test_slot_counts_match_position_and_predicate_oracles(texts):
+    _check_slot_counts(store_from_texts(texts))
 
 
 def _most_of(data, store):

@@ -1,5 +1,4 @@
 import importlib
-from collections import Counter
 from pathlib import Path
 from urllib.parse import quote
 
@@ -12,7 +11,13 @@ from isummary.parser import parse_query
 from isummary.terms import RDF_TYPE, iri, literal
 from isummary.workload import EmptyWorkload, IoError, WorkloadStore, load_workload
 
-from conftest import UNIVERSITY_FILE, UNIVERSITY_QUERIES, oracle, store_from_texts
+from conftest import (
+    UNIVERSITY_FILE,
+    UNIVERSITY_QUERIES,
+    oracle,
+    scanned_slot_counts,
+    store_from_texts,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -497,21 +502,6 @@ def test_subset_view_property(data, texts):
 _SLOTS = ("subject", "predicate", "object")
 
 
-def _scanned_slot_counts(store, anchor, anchor_slot, slot):
-    """Oracle: per member query, one for each distinct concrete term in
-    ``slot`` of its patterns that hold ``anchor`` in ``anchor_slot``."""
-    counts = Counter()
-    for q in store.queries:
-        seen = set()
-        for pattern in q.patterns:
-            term = getattr(pattern, slot)
-            if getattr(pattern, anchor_slot) == anchor and term.concrete:
-                seen.add(term)
-        for term in seen:
-            counts[term] += 1
-    return counts
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), texts=_query_texts)
 def test_split_partitions_a_store_and_derives_train_counts(data, texts):
@@ -539,10 +529,10 @@ def test_split_partitions_a_store_and_derives_train_counts(data, texts):
         assert (train._parent is store) == (2 * len(train) > len(store))
         train_direct = store.subset(train.ids())
         for key in keys:
-            expected = _scanned_slot_counts(train, *key)
+            expected = scanned_slot_counts(train, *key)
             assert train.slot_counts(*key) == expected
             assert train_direct.slot_counts(*key) == expected
-            assert test.slot_counts(*key) == _scanned_slot_counts(test, *key)
+            assert test.slot_counts(*key) == scanned_slot_counts(test, *key)
 
 
 def test_graphs_of_a_store_and_its_views_share_steps_and_hop_tuples():
