@@ -181,9 +181,10 @@ def test_filter_exists_skipped():
     ("FILTER(?o) . . ?s <p> ?o", "unexpected '.'", 30),
     ("?s <p> ?o OPTIONAL { ?s <q> ?u } UNION { ?s <r> ?v }",
      "UNION without a preceding group", 50),
+    ('"l" <p> ?o , ?u', "triple subject cannot be a literal", 17),
 ], ids=["unclosed-block", "filter-predicate", "select-predicate", "keyword-before-dot",
         "path-after-a", "star-after-a", "leading-dot", "second-dot-after-block",
-        "second-dot-after-filter", "union-after-optional"])
+        "second-dot-after-filter", "union-after-optional", "literal-subject"])
 def test_group_rejects_at_the_offending_token(group, reason, offset):
     with pytest.raises(ParseError) as exc:
         parse_query(f"SELECT * WHERE {{ {group} }}")
