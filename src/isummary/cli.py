@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import logging
 import os
 import sys
@@ -178,10 +179,16 @@ def _check_writable(path) -> None:
 
 
 def _load(args) -> workload.WorkloadStore:
-    return workload.load_workload(
+    """The log as a store, moved to the collector's permanent generation
+    (``gc.freeze``) when nothing is frozen yet: the command's first
+    collections then need not scan the whole store.  ``main`` unfreezes it."""
+    store = workload.load_workload(
         args.log, format=args.format, tsv_column=args.tsv_column,
         base_prefix=args.base_prefix,
     )
+    if not gc.get_freeze_count():
+        gc.freeze()
+    return store
 
 
 def _cmd_summarize(args) -> int:
@@ -313,6 +320,8 @@ def main(argv=None) -> int:
             args.spec = check_synth_options(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # a caller's own frozen objects stay frozen: `_load` then freezes nothing
+    owns_freeze = not gc.get_freeze_count()
     try:
         return _COMMANDS[args.command](args)
     except summarizer.InvalidRequest as exc:
@@ -321,6 +330,9 @@ def main(argv=None) -> int:
     except DATA_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if owns_freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -133,9 +133,19 @@ def select_top_nodes(
     return ranked[:count]
 
 
-def _holders(store: WorkloadStore, relevant_ids: Iterable[int], term: Term) -> set[int]:
-    """The relevant ids whose queries hold ``term``; they must be member ids of ``store``."""
-    return store.term_index.get(term, set()).intersection(relevant_ids)
+def _holders(store: WorkloadStore, relevant: set[int], term: Term) -> list[int]:
+    """The relevant ids whose queries hold ``term`` as a node (a concrete
+    subject or object); ``relevant`` is a set of member ids of ``store``.
+
+    Reads from the smaller side: a posting no longer than ``relevant`` is
+    intersected into it, and else each relevant id's node terms are tested.
+    A posting much longer than ``relevant`` costs a pass, or a bisect per id,
+    that the scan does not.
+    """
+    posting = store.term_index.get(term, ())
+    candidates = relevant.intersection(posting) if len(posting) <= len(relevant) else relevant
+    node_terms = store.node_terms
+    return [qid for qid in candidates if term in node_terms(qid)]
 
 
 def link(
@@ -146,17 +156,21 @@ def link(
 ) -> PathSignature | None:
     """Most frequent shortest query path linking ``x`` to any visited node.
 
-    Reads only the relevant queries that hold ``x``, each with one path per
-    visited node of its graph.  Frequencies accumulate across all of them;
-    ties break by shorter length, then least signature.  Returns None when no
-    relevant query connects ``x`` to the summary.  ``relevant_ids`` is any
-    iterable of member ids of ``store``; a set is read without a copy.
+    Reads only the relevant queries that hold ``x`` as a node (``_holders``,
+    from the smaller side), each with one path per visited node of its
+    graph; a query holding ``x`` only as a predicate has no such path.
+    Frequencies accumulate across all of them; ties break by shorter length,
+    then least signature.  Returns None when no relevant query connects
+    ``x`` to the summary.  ``relevant_ids`` is any iterable of member ids of
+    ``store``; a set is read without a copy.
     """
     if not visited:
         raise ValueError("visited set must be non-empty")
     partners = set(visited)
     if x in partners:
         raise ValueError("node to link is already in the summary")
+    if not isinstance(relevant_ids, (set, frozenset)):
+        relevant_ids = set(relevant_ids)
     tally: Counter = Counter()
     for qid in _holders(store, relevant_ids, x):
         ends = store.node_terms(qid) & partners
@@ -321,8 +335,8 @@ def _name_blind_key(edge: TriplePattern) -> tuple:
     return tuple([positional_name(t, names).sort_key() for t in edge])
 
 
-def _incident_edges(store: WorkloadStore, relevant: Iterable[int], term: Term) -> set:
-    """The edges at ``term`` in the graphs of the relevant queries that hold it."""
+def _incident_edges(store: WorkloadStore, relevant: set[int], term: Term) -> set:
+    """The edges at ``term`` in the graphs of the relevant queries that hold it as a node."""
     return {e for qid in _holders(store, relevant, term)
             for e in store.graph(qid).edges if term in (e.subject, e.object)}
 

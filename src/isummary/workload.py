@@ -52,6 +52,12 @@ def concrete_node_terms(query: ParsedQuery) -> frozenset[Term]:
 class WorkloadStore:
     """Parsed queries plus an inverted index from concrete terms to query ids.
 
+    The term index maps each concrete term (in any pattern position) to its
+    posting: a tuple of the ids of the root's queries holding it, strictly
+    ascending.  A posting is read in order, or as the iterable side of a
+    ``set.intersection``; only a filter on several terms builds a set, of
+    the shortest posting's ids.
+
     A store built from queries is a root: it owns the id-to-query map, the
     term index, the lazy per-query graph and node-term memos, and the table of
     parts (steps, hop tuples, collapsed triples) its graphs share.  A view
@@ -74,16 +80,27 @@ class WorkloadStore:
 
     def __init__(self, queries: Iterable[ParsedQuery], rejected_count: int = 0):
         self.rejected_count = rejected_count
-        self.term_index: dict[Term, set[int]] = {}
+        index: dict[Term, list[int]] = {}
         self._by_id: dict[int, ParsedQuery] = {}
         for q in queries:
-            if q.id in self._by_id:
-                raise ValueError(f"duplicate query id {q.id}")
-            self._by_id[q.id] = q
+            qid = q.id
+            if qid in self._by_id:
+                raise ValueError(f"duplicate query id {qid}")
+            self._by_id[qid] = q
             for pattern in q.patterns:
                 for term in pattern.terms():
                     if term.concrete:
-                        self.term_index.setdefault(term, set()).add(q.id)
+                        posting = index.get(term)
+                        if posting is None:
+                            index[term] = [qid]
+                        # a term met again in the same query was appended last
+                        elif posting[-1] != qid:
+                            posting.append(qid)
+        # frozen once; sorted, as ids need not come in ascending order
+        for term, posting in index.items():
+            posting.sort()
+            index[term] = tuple(posting)
+        self.term_index: dict[Term, tuple[int, ...]] = index
         # a root's members are its map's keys; a view's, a set (see `subset`)
         self._members: AbstractSet[int] = self._by_id.keys()
         self._graphs: dict[int, QueryGraph] = {}
@@ -132,22 +149,29 @@ class WorkloadStore:
         """Ids of member queries containing every given term, ascending.
 
         An empty term set matches every query.  Terms must be concrete.
+        One term's ids are its posting, as a list, on a store holding every
+        id of its root, and else the members in posting order.  Several
+        terms keep the ids of the shortest posting that every other posting
+        holds, in posting order.
         """
-        result: set[int] | None = None
+        postings = []
         for term in terms:
             if not term.concrete:
                 raise ValueError(f"filter terms must be concrete, got {term.to_sparql()}")
-            ids = self.term_index.get(term)
-            if not ids:
+            posting = self.term_index.get(term)
+            if not posting:
                 return []
-            # `&` builds a new set: `result` may be one of the index's own sets
-            result = ids if result is None else result & ids
-            if not result:
-                return []
-        if result is None:
+            postings.append(posting)
+        if not postings:
             return self.ids()
-        # members last: the term sets are intersected first, as they shrink fastest
-        return sorted(self._members & result)
+        shortest = min(postings, key=len)
+        if len(postings) > 1:
+            common = set(shortest).intersection(*(p for p in postings if p is not shortest))
+            shortest = [qid for qid in shortest if qid in common]
+        members = self._members
+        if len(members) == len(self._by_id):
+            return list(shortest)
+        return [qid for qid in shortest if qid in members]
 
     def slot_counts(self, anchor: Term, anchor_slot: str, slot: str) -> Counter:
         """Distinct-query counts of the concrete terms in ``slot`` of member
@@ -179,7 +203,7 @@ class WorkloadStore:
             else:
                 if self._held_out is None:
                     self._held_out = parent._members - self._members
-                holders = self.term_index[anchor] & self._held_out
+                holders = self._held_out.intersection(self.term_index[anchor])
                 counts = (parent.slot_counts(anchor, anchor_slot, slot)
                           - parent._scan_slots(anchor, at, of, holders))
             self._slot_counts[key] = counts

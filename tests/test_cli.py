@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from isummary import workload
+from isummary import summarizer, workload
 from isummary.cli import main
 from isummary.synth import SyntheticSpec
 
@@ -52,6 +53,27 @@ def test_summarize_missing_log_is_data_error(tmp_path, capsys):
     ])
     assert code == 3
     assert "IoError" in capsys.readouterr().err
+
+
+def test_summarize_freezes_the_store_and_unfreezes_on_return(log_file, monkeypatch, capsys):
+    during = []
+    real = summarizer.summarize
+    monkeypatch.setattr(summarizer, "summarize", lambda store, request: (
+        during.append(gc.get_freeze_count()) or real(store, request)))
+    argv = ["summarize", "--log", str(log_file), "--k", "2", "--seed"]
+    assert gc.get_freeze_count() == 0
+    assert main(argv + ["Person"]) == 0
+    assert during[-1] > 0 and gc.get_freeze_count() == 0
+    assert main(argv + ["Nowhere"]) == 3  # a data error after the load
+    assert during[-1] > 0 and gc.get_freeze_count() == 0
+    # a caller's own frozen objects: the command freezes and unfreezes nothing
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert main(argv + ["Person"]) == 0
+        assert during[-1] == before == gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
 
 
 def test_usage_errors_exit_two(log_file, capsys):

@@ -201,10 +201,11 @@ def test_link_renames_predicate_before_waypoint():
 
 def check_link_calls(monkeypatch, store, ids, x, visited):
     """One ``link`` on a fresh store makes one ``shortest_path`` call per
-    (relevant holder of ``x``, partner among its node terms), fetches each
-    such holder's graph once and builds it once."""
+    (relevant node holder of ``x``, partner among its node terms), fetches
+    each such holder's graph once and builds it once.  A record holding
+    ``x`` only as a predicate has no path from it, so it costs no call."""
     expected = Counter({(qid, y): 1 for qid in ids
-                        if any(x in pattern.terms() for pattern in store.query(qid).patterns)
+                        if any(x in (p.subject, p.object) for p in store.query(qid).patterns)
                         for y in store.node_terms(qid) & set(visited)})
     paths, graphs, builds, records = Counter(), Counter(), [], {}
     graph, build = WorkloadStore.graph, workload.build_graph
@@ -241,6 +242,14 @@ def test_link_calls_per_record_on_university_fixture(monkeypatch):
     assert partnered  # some record holds x and more than one partner
 
 
+def test_link_calls_skip_predicate_only_holders(monkeypatch):
+    # record 0 holds p only as a predicate, record 1 as a node; p's posting
+    # (0, 1) is longer than the first two relevant sets and no longer than the rest
+    texts = ["SELECT * WHERE {A p B}", "SELECT * WHERE {A q p . p q B}", "SELECT * WHERE {A q B}"]
+    for ids in ([0], [1], [0, 1], [0, 1, 2]):
+        check_link_calls(monkeypatch, store_from_texts(texts), ids, iri("p"), [iri("A")])
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), texts=_slot_queries)
 def test_link_calls_per_record_on_random_stores(data, texts):
@@ -253,6 +262,25 @@ def test_link_calls_per_record_on_random_stores(data, texts):
                                  min_size=1, unique=True))
     with pytest.MonkeyPatch.context() as monkeypatch:
         check_link_calls(monkeypatch, store, ids, x, visited)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), texts=_slot_queries)
+def test_holders_match_node_holder_scan(data, texts):
+    store = store_from_texts(texts)
+    ids = store.ids()
+    # relevant sets from empty to all ids, so each posting is both longer
+    # and no longer than some of them
+    order = data.draw(st.permutations(ids))
+    relevant_sets = [set(order[:n]) for n in range(len(order) + 1)]
+    # p is both a predicate and a node, q and rdf:type only predicates; no query holds D
+    terms = [t for t in _SLOT_ENDS if t.concrete] + [iri("q"), RDF_TYPE, iri("D")]
+    for term in terms:
+        for relevant in relevant_sets:
+            scanned = sorted(qid for qid in relevant if any(
+                term in (p.subject, p.object) for p in store.query(qid).patterns))
+            holders = summarizer._holders(store, relevant, term)
+            assert sorted(holders) == scanned and len(set(holders)) == len(holders)
 
 
 def test_link_precondition_checks(university_store):

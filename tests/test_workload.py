@@ -413,12 +413,13 @@ def test_filter_requires_concrete(university_store):
 
 
 def _scanned_index(store):
-    """Oracle: each concrete term's holders, by a linear scan of the patterns."""
+    """Oracle: each concrete term's holders, by a linear scan of the patterns,
+    as an ascending tuple (the index's posting layout)."""
     scanned = {}
     for q in store.queries:
         for t in oracle.term_set(q.patterns):
             scanned.setdefault(t, set()).add(q.id)
-    return scanned
+    return {t: tuple(sorted(ids)) for t, ids in scanned.items()}
 
 
 def test_term_index_matches_linear_scan(university_store):
@@ -464,12 +465,19 @@ _query_texts = st.lists(
 )
 
 
+def _shuffled_store(data, texts):
+    """A store over ``texts`` whose query ids are a drawn permutation, so the
+    build order differs from id order."""
+    ids = data.draw(st.permutations(range(len(texts))))
+    return WorkloadStore(parse_query(t, query_id=i) for t, i in zip(texts, ids))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), texts=_query_texts)
 def test_subset_view_property(data, texts):
     # ids in shuffled order, so "parent order" differs from id order
-    ids = data.draw(st.permutations(range(len(texts))))
-    store = WorkloadStore(parse_query(t, query_id=i) for t, i in zip(texts, ids))
+    store = _shuffled_store(data, texts)
+    ids = store.ids()
     # id lists may repeat an id and name ids the store does not hold
     id_lists = st.lists(st.integers(min_value=0, max_value=len(texts) + 2))
     asked, others = data.draw(id_lists), data.draw(id_lists)
@@ -533,6 +541,41 @@ def test_split_partitions_a_store_and_derives_train_counts(data, texts):
             assert train.slot_counts(*key) == expected
             assert train_direct.slot_counts(*key) == expected
             assert test.slot_counts(*key) == scanned_slot_counts(test, *key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), texts=_query_texts)
+def test_postings_are_strictly_ascending_tuples(data, texts):
+    store = _shuffled_store(data, texts)
+    for posting in store.term_index.values():
+        assert type(posting) is tuple
+        assert all(a < b for a, b in zip(posting, posting[1:]))
+    assert store.term_index == _scanned_index(store)
+
+
+def _filter_oracle(store, terms):
+    """Oracle: the sorted intersection of the members with each term's
+    holders, by a linear scan of the members' patterns."""
+    held = set(store.ids())
+    for term in terms:
+        held &= {q.id for q in store.queries if term in oracle.term_set(q.patterns)}
+    return sorted(held)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), texts=_query_texts)
+def test_filter_matches_intersection_oracle_on_roots_and_views(data, texts):
+    root = _shuffled_store(data, texts)
+    ids = root.ids()
+    asked = data.draw(st.lists(st.sampled_from(ids)))
+    sub = root.subset(asked)
+    nested = sub.subset(data.draw(st.lists(st.sampled_from(ids))))
+    stores = (root, root.subset(ids), sub, nested) + root.split(asked) + sub.split(asked[::2])
+    vocab = sorted(root.term_index, key=lambda t: t.sort_key()) + [iri("D")]
+    for size in (1, 2, 3):
+        terms = data.draw(st.lists(st.sampled_from(vocab), min_size=size, max_size=size))
+        for store in stores:
+            assert store.filter(terms) == _filter_oracle(store, terms)
 
 
 def test_graphs_of_a_store_and_its_views_share_steps_and_hop_tuples():
