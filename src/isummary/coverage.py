@@ -175,20 +175,41 @@ class _SeedPool:
         return self._order[i + bisect_right(self._shifts, i)]
 
 
-def _seed_pool(counts: Counter, order: list[Term], position: dict[Term, int],
-               test: WorkloadStore) -> _SeedPool:
+def _node_holders(store: WorkloadStore, counts: Counter,
+                  order: list[Term]) -> list[Sequence[int]]:
+    """For each term of ``order``, the ids of the member queries holding it
+    as a node, ascending; ``counts`` are the store's node frequencies.
+
+    Every node holder of a term is in its ``posting``, so a posting as long
+    as the term's count is its node holders, with no copy on a root.  Only a
+    term that is a predicate somewhere has a longer one, filtered by
+    ``node_terms``.
+    """
+    node_terms = store.node_terms
+    holders = []
+    for term in order:
+        posting = store.posting(term)
+        if len(posting) != counts[term]:
+            posting = [qid for qid in posting if term in node_terms(qid)]
+        holders.append(posting)
+    return holders
+
+
+def _seed_pool(order: list[Term], holders: list[Sequence[int]],
+               test_ids: set[int]) -> _SeedPool:
     """The node terms of the fold's train part, in sort order.
 
-    ``counts`` are the node frequencies of the whole store that the train and
-    test parts split, ``order`` is their terms in sort order and
-    ``position`` maps each term to its index in ``order``.  A term counts
-    once per query, so it is a train node exactly when the store counts it
-    more often than the test part does: only test nodes can drop out, and the
-    pool costs a count of the test part.
+    ``order`` is the node terms of the whole store that the train and test
+    parts split, in sort order, ``holders[i]`` the ids of the store's
+    queries holding ``order[i]`` as a node, ascending (never empty; see
+    ``_node_holders``), and ``test_ids`` the test part's ids.  A term is a
+    train node exactly when some holder is not a test id, so the pool drops
+    term ``i`` when all its holders are test ids.  The test stops at the
+    first holder that is not one, in C: a term whose first holder is a
+    train id costs one lookup.
     """
-    in_test = node_frequencies(test, test.ids())
-    dropped = sorted(position[t] for t, n in in_test.items() if counts[t] == n)
-    return _SeedPool(order, dropped)
+    all_test = test_ids.issuperset
+    return _SeedPool(order, [i for i, ids in enumerate(holders) if all_test(ids)])
 
 
 def _sample_seed_terms(pool: Sequence[Term], test: WorkloadStore, count: int,
@@ -228,14 +249,15 @@ def evaluate(
     train part is a view in the store's order, so only its member set and the
     rng state that seed sampling continues from matter.  Apart from its
     summaries, a fold costs its test part: ``store.split`` makes both views
-    from the test ids, and ``_seed_pool`` counts only the test part.
+    from the test ids, and ``_seed_pool`` reads each node term's holders
+    (``_node_holders``), listed once per call from the store's postings.
     """
     if not k_values:
         raise ValueError("k_values must be non-empty")
     all_ids = [q.id for q in store.queries]
     counts = node_frequencies(store, all_ids)
     order = sorted(counts, key=Term.sort_key)
-    position = dict(zip(order, range(len(order))))
+    holders = _node_holders(store, counts, order)
     rows: list[EvalRow] = []
     warnings: list[str] = []
     fold_means: list[float] = []
@@ -247,8 +269,9 @@ def evaluate(
         rng.shuffle_tail(ids, len(ids) - cut)
         if not 0 < cut < len(ids):
             raise InsufficientWorkload(f"fold {fold} has an empty train or test part")
-        train, test = store.split(ids[cut:])
-        seeds = _sample_seed_terms(_seed_pool(counts, order, position, test), test,
+        test_ids = set(ids[cut:])
+        train, test = store.split(test_ids)
+        seeds = _sample_seed_terms(_seed_pool(order, holders, test_ids), test,
                                    config.sample_seeds, rng)
         if len(seeds) < config.sample_seeds:
             warnings.append(f"{SEED_SAMPLING_SHORTFALL}: drew {len(seeds)} of"

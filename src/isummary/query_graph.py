@@ -3,7 +3,9 @@
 A query graph's edges are the triple patterns of the type-collapsed query:
 each edge runs from its subject to its object.  Only ``build_graph`` applies
 type collapse.  A graph holds edges and hops only; a query's concrete nodes
-are read from its patterns (``workload.concrete_node_terms``).
+are read from its patterns (``workload.concrete_node_terms``: a tuple
+without duplicates, in first-occurrence order), as type collapse never adds
+or removes one.
 
 A hop along an edge, either way, is a ``Step``.  The graph keeps each node's
 distinct hops, so parallel edges with the same predicate and orientation are

@@ -173,7 +173,7 @@ def link(
         relevant_ids = set(relevant_ids)
     tally: Counter = Counter()
     for qid in _holders(store, relevant_ids, x):
-        ends = store.node_terms(qid) & partners
+        ends = partners.intersection(store.node_terms(qid))
         if ends:
             graph = store.graph(qid)
             for y in ends:

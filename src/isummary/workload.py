@@ -7,7 +7,7 @@ import itertools
 import logging
 from collections import Counter
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Sequence
 from urllib.parse import unquote_plus
 
 from .parser import ParsedQuery, ParseError, parse_query
@@ -37,16 +37,24 @@ class EmptyWorkload(Exception):
     """No query in the input could be parsed."""
 
 
-def concrete_node_terms(query: ParsedQuery) -> frozenset[Term]:
+def concrete_node_terms(query: ParsedQuery) -> tuple[Term, ...]:
     """The concrete nodes of the query's type-collapsed graph: the concrete
-    subjects and objects of its patterns.
+    subjects and objects of its patterns, each once, in first-occurrence
+    order (pattern order, subject before object).
 
     Type collapse never adds or removes one: it relabels a variable only by
     the class object of one of its own rdf:type patterns, counted here already.
+    A tuple of a few terms takes a fifth of a frozenset's memory, and a
+    query holds few enough that a membership test scans it quickly.
     """
-    return frozenset(
-        t for p in query.patterns for t in (p.subject, p.object) if t.kind != VARIABLE
-    )
+    # a dict as ordered set; a plain loop builds it faster than a generator
+    nodes: dict[Term, None] = {}
+    for subject, _, obj in query.patterns:
+        if subject.kind != VARIABLE:
+            nodes[subject] = None
+        if obj.kind != VARIABLE:
+            nodes[obj] = None
+    return tuple(nodes)
 
 
 class WorkloadStore:
@@ -56,20 +64,23 @@ class WorkloadStore:
     posting: a tuple of the ids of the root's queries holding it, strictly
     ascending.  A posting is read in order, or as the iterable side of a
     ``set.intersection``; only a filter on several terms builds a set, of
-    the shortest posting's ids.
+    the shortest posting's ids.  ``posting`` restricts one to the members.
+    A query's node terms (``node_terms``) are a tuple too, memoized per
+    query id.
 
     A store built from queries is a root: it owns the id-to-query map, the
     term index, the lazy per-query graph and node-term memos, and the table of
     parts (steps, hop tuples, collapsed triples) its graphs share.  A view
     from ``subset`` or ``split`` is those five, shared by reference, plus its
     member ids.
-    So ``len``, ``filter``, ``ids`` and ``query`` answer for members only,
-    ``graph`` and ``node_terms`` for any id the root holds, and ``queries``
-    lists the members in the root's order at the cost of a pass over the
-    root.  Query ids are never renumbered, so memoized graphs stay valid in
-    every view.  Slot counts depend on the members, so each store and view
-    has its own memo of them; a view holding more than half of its parent's
-    members derives its counts from the parent's (see ``slot_counts``).
+    So ``len``, ``posting``, ``filter``, ``ids`` and ``query`` answer for
+    members only, ``graph`` and ``node_terms`` for any id the root holds,
+    and ``queries`` lists the members in the root's order at the cost of a
+    pass over the root.  Query ids are never renumbered, so memoized graphs
+    stay valid in every view.  Slot counts depend on the members, so each
+    store and view has its own memo of them; a view holding more than half
+    of its parent's members derives its counts from the parent's (see
+    ``slot_counts``).
     Treated as immutable after construction.
     """
 
@@ -105,7 +116,7 @@ class WorkloadStore:
         self._members: AbstractSet[int] = self._by_id.keys()
         self._graphs: dict[int, QueryGraph] = {}
         self._graph_parts: dict = {}
-        self._node_terms: dict[int, frozenset[Term]] = {}
+        self._node_terms: dict[int, tuple[Term, ...]] = {}
         self._slot_counts: dict[tuple[Term, str, str], Counter] = {}
         # for a view holding more than half of its parent: the parent (set by
         # `_view`) and the parent's ids the view lacks (set by `split`, or
@@ -137,41 +148,53 @@ class WorkloadStore:
             self._graphs[query_id] = g
         return g
 
-    def node_terms(self, query_id: int) -> frozenset[Term]:
-        """``concrete_node_terms`` of the query, memoized."""
+    def node_terms(self, query_id: int) -> tuple[Term, ...]:
+        """``concrete_node_terms`` of the query, memoized: a duplicate-free
+        tuple in first-occurrence order."""
         terms = self._node_terms.get(query_id)
         if terms is None:
             terms = concrete_node_terms(self._by_id[query_id])
             self._node_terms[query_id] = terms
         return terms
 
+    def posting(self, term: Term) -> Sequence[int]:
+        """Ids of the member queries holding ``term`` in any position,
+        ascending; empty for a term outside the term index.
+
+        On a store holding every id of its root this is the root's posting
+        tuple itself, with no copy; on a smaller view, a list of the members
+        in posting order.  Callers must not mutate it.
+        """
+        posting = self.term_index.get(term, ())
+        members = self._members
+        if len(members) == len(self._by_id):
+            return posting
+        return [qid for qid in posting if qid in members]
+
     def filter(self, terms: Iterable[Term]) -> list[int]:
         """Ids of member queries containing every given term, ascending.
 
         An empty term set matches every query.  Terms must be concrete.
-        One term's ids are its posting, as a list, on a store holding every
-        id of its root, and else the members in posting order.  Several
-        terms keep the ids of the shortest posting that every other posting
-        holds, in posting order.
+        The ids come from the ``posting`` of the term with the shortest root
+        posting: all of it for one term, and for several the ids that every
+        other root posting holds, in posting order.
         """
-        postings = []
+        postings = {}
         for term in terms:
             if not term.concrete:
                 raise ValueError(f"filter terms must be concrete, got {term.to_sparql()}")
             posting = self.term_index.get(term)
             if not posting:
                 return []
-            postings.append(posting)
+            postings[term] = posting
         if not postings:
             return self.ids()
-        shortest = min(postings, key=len)
-        if len(postings) > 1:
-            common = set(shortest).intersection(*(p for p in postings if p is not shortest))
-            shortest = [qid for qid in shortest if qid in common]
-        members = self._members
-        if len(members) == len(self._by_id):
-            return list(shortest)
-        return [qid for qid in shortest if qid in members]
+        shortest = min(postings, key=lambda t: len(postings[t]))
+        ids = self.posting(shortest)
+        if len(postings) == 1:
+            return list(ids)
+        common = set(ids).intersection(*(p for t, p in postings.items() if t != shortest))
+        return [qid for qid in ids if qid in common]
 
     def slot_counts(self, anchor: Term, anchor_slot: str, slot: str) -> Counter:
         """Distinct-query counts of the concrete terms in ``slot`` of member

@@ -71,6 +71,17 @@ def collapsed_nodes(query):
     return nodes | {t for subject, _, obj in edges for t in (subject, obj)}
 
 
+def scanned_node_terms(query):
+    """Oracle: the query's concrete subjects and objects, each once, in the
+    order a scan of its patterns first meets them (subject before object)."""
+    seen = []
+    for pattern in query.patterns:
+        for term in (pattern.subject, pattern.object):
+            if term.concrete and term not in seen:
+                seen.append(term)
+    return tuple(seen)
+
+
 def scanned_slot_counts(store, anchor, anchor_slot, slot):
     """Oracle: per member query, one for each distinct concrete term in
     ``slot`` of its patterns that hold ``anchor`` in ``anchor_slot``."""

@@ -11,6 +11,7 @@ from isummary.coverage import (
     CoverageConfig,
     InsufficientWorkload,
     NO_MATCHING_TEST_QUERIES,
+    _node_holders,
     _sample_seed_terms,
     _seed_pool,
     coverage,
@@ -22,7 +23,7 @@ from isummary.rng import XorShift64Star
 from isummary.summarizer import Summary, node_frequencies
 from isummary.synth import SyntheticSpec
 from isummary.terms import BLANK, Term, TriplePattern, iri
-from isummary.workload import load_workload
+from isummary.workload import WorkloadStore, load_workload
 
 from conftest import (
     UNIVERSITY_QUERIES,
@@ -172,9 +173,12 @@ def test_evaluate_row_count_and_sorting():
     assert len(result.fold_stats.fold_means) == 2
 
 
-def _positions(order):
-    """Each term's index in ``order``, as ``evaluate`` maps it once per call."""
-    return dict(zip(order, range(len(order))))
+def _pool_inputs(store):
+    """The store's node counts, their terms in sort order and each term's
+    node holders, as ``evaluate`` computes them once per call."""
+    counts = node_frequencies(store, store.ids())
+    order = sorted(counts, key=Term.sort_key)
+    return counts, order, _node_holders(store, counts, order)
 
 
 def test_sampled_seeds_occur_in_test_part():
@@ -184,9 +188,8 @@ def test_sampled_seeds_occur_in_test_part():
         "SELECT ?x WHERE {?x a Person}",
     ])
     test = store.subset([1])
-    counts = node_frequencies(store, store.ids())
-    order = sorted(counts, key=Term.sort_key)
-    pool = _seed_pool(counts, order, _positions(order), test)
+    _, order, holders = _pool_inputs(store)
+    pool = _seed_pool(order, holders, set(test.ids()))
     assert list(pool) == [iri("Lab"), PERSON]
     for rng_seed in range(20):
         # a shortfall: evaluate warns for it
@@ -211,13 +214,29 @@ _pool_logs = st.lists(
 def test_seed_pool_is_the_train_parts_sorted_nodes(log, test_ids):
     store = store_from_texts(_texts(log))
     train, test = store.subset(set(store.ids()) - test_ids), store.subset(test_ids)
-    counts = node_frequencies(store, store.ids())
-    order = sorted(counts, key=Term.sort_key)
+    _, order, holders = _pool_inputs(store)
     # oracle: the seed pool as each fold once built it, the train part's node counts, sorted
     records = {q.id: q.patterns for q in store.queries}
     train_counts = oracle.node_frequencies(records, train.ids())
-    pool = _seed_pool(counts, order, _positions(order), test)
+    pool = _seed_pool(order, holders, set(test.ids()))
     assert list(pool) == sorted(train_counts, key=oracle.sort_key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=_pool_logs, asked=st.sets(st.integers(min_value=0, max_value=7)))
+# p: a predicate in record 0 and a node in record 1, so its posting is no holder list
+@example(log=[[("A", "p", "B")], [("B", "q", "p")]], asked={1})
+def test_node_holders_match_pattern_scan_on_roots_and_views(log, asked):
+    root = store_from_texts(_texts(log))
+    for store in (root, root.subset(asked)) + root.split(asked):
+        _, order, holders = _pool_inputs(store)
+        records = {q.id: q.patterns for q in store.queries}
+        assert set(order) == set(oracle.node_frequencies(records, store.ids()))
+        assert [list(ids) for ids in holders] == [
+            [qid for qid in store.ids()
+             if any(term in (p.subject, p.object) for p in records[qid])]
+            for term in order
+        ]
 
 
 def _list_pool(counts, order, test):
@@ -241,9 +260,8 @@ def _list_pool(counts, order, test):
 def test_seed_pool_draws_match_list_oracle(log, test_ids):
     store = store_from_texts(_texts(log))
     test = store.subset(test_ids)
-    counts = node_frequencies(store, store.ids())
-    order = sorted(counts, key=Term.sort_key)
-    pool = _seed_pool(counts, order, _positions(order), test)
+    counts, order, holders = _pool_inputs(store)
+    pool = _seed_pool(order, holders, set(test.ids()))
     expected = _list_pool(counts, order, test)
     assert len(pool) == len(expected)
     assert [pool[i] for i in range(len(pool))] == expected
@@ -255,6 +273,29 @@ def test_seed_pool_draws_match_list_oracle(log, test_ids):
         assert (_sample_seed_terms(pool, test, 3, rng)
                 == _sample_seed_terms(expected, test, 3, oracle_rng))
         assert rng.next_u64() == oracle_rng.next_u64()
+
+
+@pytest.mark.parametrize("view", ["subset", "split-train", "nested"])
+def test_evaluate_on_a_view_equals_evaluate_on_a_fresh_root(tmp_path, view):
+    # a view shares its root's postings; evaluate must read only its members.
+    # A Zipf log has many rare nodes, held by a few queries inside the view
+    # and more outside it.
+    path = tmp_path / "synth.txt"
+    generate_synthetic(SyntheticSpec(n_queries=300, rng_seed=3), path)
+    store = load_workload(path)
+    ids = store.ids()
+    if view == "subset":
+        part = store.subset(i for i in ids if i % 3)
+    elif view == "split-train":
+        part, _ = store.split(ids[::4])
+    else:
+        part = store.split(ids[::4])[0].subset(i for i in ids if i % 3)
+    fresh = WorkloadStore(part.queries)
+    config = CoverageConfig(folds=3, sample_seeds=5, rng_seed=7)
+    args = (config, [2, 4], ["isummary", "random"])
+    result = evaluate(part, *args)
+    assert result.rows
+    assert result == evaluate(fresh, *args)
 
 
 def test_evaluate_deterministic():

@@ -21,7 +21,7 @@ from isummary.rng import XorShift64Star
 from isummary.terms import RDF_TYPE, Term, TriplePattern, iri, literal, variable
 from isummary.workload import concrete_node_terms
 
-from conftest import collapsed_nodes, oracle, oracle_shortest_path
+from conftest import collapsed_nodes, oracle, oracle_shortest_path, scanned_node_terms
 
 
 def graph_of(text):
@@ -33,12 +33,21 @@ def concrete_edges(graph):
     return [e for e in graph.edges if e.predicate.concrete]
 
 
+def node_term_set(query):
+    """The query's node terms as a set, once the tuple is checked to be
+    duplicate-free and in first-occurrence order."""
+    terms = concrete_node_terms(query)
+    assert terms == scanned_node_terms(query)
+    assert len(set(terms)) == len(terms)
+    return set(terms)
+
+
 def check_nodes(text, expected):
     """The collapsed graph of ``text`` has the nodes ``expected`` (by the
     oracle), and its concrete ones are the query's node terms."""
     query = parse_query(text)
     assert collapsed_nodes(query) == expected
-    assert concrete_node_terms(query) == {t for t in expected if t.concrete}
+    assert node_term_set(query) == {t for t in expected if t.concrete}
 
 
 Q3 = 'SELECT ?x ?y WHERE {?x a Person. ?y a Organization. ?y affiliatedOf ?x. ?y orgName "FORTH".}'
@@ -150,20 +159,20 @@ def test_build_graph_order_invariant():
         query = parse_query(
             "SELECT * WHERE { " + " . ".join(p.to_sparql() for p in perm) + " }"
         )
-        assert concrete_node_terms(query) == concrete_node_terms(base)
+        assert node_term_set(query) == node_term_set(base)
         assert collapsed_nodes(query) == collapsed_nodes(base)
         assert set(build_graph(query).edges) == set(graph_of(Q3).edges)
 
 
 def test_concrete_counts_q3():
-    assert concrete_node_terms(parse_query(Q3)) == {
-        iri("Person"), iri("Organization"), literal("FORTH")}
+    assert concrete_node_terms(parse_query(Q3)) == (
+        iri("Person"), iri("Organization"), literal("FORTH"))
     assert len(concrete_edges(graph_of(Q3))) == 2
 
 
 def test_concrete_counts_variables_only():
     text = "SELECT * WHERE {?x p ?y}"
-    assert concrete_node_terms(parse_query(text)) == set()
+    assert concrete_node_terms(parse_query(text)) == ()
     assert len(concrete_edges(graph_of(text))) == 1
 
 

@@ -206,7 +206,7 @@ def check_link_calls(monkeypatch, store, ids, x, visited):
     ``x`` only as a predicate has no path from it, so it costs no call."""
     expected = Counter({(qid, y): 1 for qid in ids
                         if any(x in (p.subject, p.object) for p in store.query(qid).patterns)
-                        for y in store.node_terms(qid) & set(visited)})
+                        for y in set(visited).intersection(store.node_terms(qid))})
     paths, graphs, builds, records = Counter(), Counter(), [], {}
     graph, build = WorkloadStore.graph, workload.build_graph
 
@@ -238,7 +238,8 @@ def test_link_calls_per_record_on_university_fixture(monkeypatch):
         store = store_from_texts(UNIVERSITY_QUERIES)
         visited = [t for t in nodes if t != x]
         check_link_calls(monkeypatch, store, store.ids(), x, visited)
-        partnered += any(len(store.node_terms(q) & set(visited)) > 1 for q in store.filter([x]))
+        partnered += any(len(set(visited).intersection(store.node_terms(q))) > 1
+                         for q in store.filter([x]))
     assert partnered  # some record holds x and more than one partner
 
 

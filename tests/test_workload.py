@@ -15,6 +15,7 @@ from conftest import (
     UNIVERSITY_FILE,
     UNIVERSITY_QUERIES,
     oracle,
+    scanned_node_terms,
     scanned_slot_counts,
     store_from_texts,
 )
@@ -578,6 +579,24 @@ def test_filter_matches_intersection_oracle_on_roots_and_views(data, texts):
             assert store.filter(terms) == _filter_oracle(store, terms)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), texts=_query_texts)
+def test_posting_matches_ascending_scan_on_roots_and_views(data, texts):
+    root = _shuffled_store(data, texts)
+    ids = root.ids()
+    asked = data.draw(st.lists(st.sampled_from(ids)))
+    sub = root.subset(asked)
+    nested = sub.subset(data.draw(st.lists(st.sampled_from(ids))))
+    stores = (root, root.subset(ids), sub, nested) + root.split(asked) + sub.split(asked[::2])
+    vocab = sorted(root.term_index, key=lambda t: t.sort_key()) + [iri("D")]
+    for store in stores:
+        for term in vocab:
+            assert list(store.posting(term)) == _filter_oracle(store, [term])
+    # a store holding every id of its root hands out the root's posting itself
+    for store in (root, root.subset(ids)):
+        assert all(store.posting(t) is p for t, p in root.term_index.items())
+
+
 def test_graphs_of_a_store_and_its_views_share_steps_and_hop_tuples():
     store = store_from_texts([
         "SELECT * WHERE {?x a Person. ?x advisor <Ann>}",
@@ -608,9 +627,12 @@ def test_node_terms_match_collapsed_graph(texts):
     store = store_from_texts(texts)
     for qid in store.ids():
         nodes = store.node_terms(qid)
-        assert nodes == oracle.collapse(store.query(qid).patterns)[0]
+        # a duplicate-free tuple in first-occurrence order
+        assert nodes == scanned_node_terms(store.query(qid))
+        assert len(set(nodes)) == len(nodes)
+        assert set(nodes) == oracle.collapse(store.query(qid).patterns)[0]
         ends = {t for e in store.graph(qid).edges for t in (e.subject, e.object)}
-        assert {t for t in ends if t.concrete} <= nodes
+        assert {t for t in ends if t.concrete} <= set(nodes)
 
 
 # -- term table ----------------------------------------------------------------
