@@ -26,7 +26,7 @@ least path so far.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .parser import ParsedQuery
@@ -79,6 +79,10 @@ class PathSignature(NamedTuple):
 
     def sort_key(self):
         return (_steps_key(self.steps), self.endpoints[0].sort_key(), self.endpoints[1].sort_key())
+
+
+# builds a signature from its field tuple in C, without the NamedTuple's Python __new__
+_signature = partial(tuple.__new__, PathSignature)
 
 
 class QueryGraph:
@@ -208,23 +212,30 @@ def _renamed(steps: tuple[Step, ...]) -> tuple[Step, ...]:
 def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
     """Minimum-hop path between two concrete terms, as a canonical signature.
 
-    The path is walked from the endpoint with the lesser sort key, and among
+    The path is walked from the endpoint with the lesser sort key (compared
+    by kind and lexical, and by the keys only when both tie), and among
     equal-length paths the lexicographically least renamed signature wins.
     There are three stages, each run only when the one before finds nothing:
     a direct hop to the other endpoint; a common neighbour, that is a hop
     out of the start paired with a hop out of its waypoint to the other
     endpoint; and a walk that follows the distances of a breadth-first
     search from the other endpoint, stopped at the layer reaching the
-    walk's start.  The first two run no search.  Sort keys are built only
+    walk's start.  The first two run no search, and a pair of hops is
+    renamed only when it holds a variable.  Sort keys are built only
     for the first step where a later path differs from the least one so far.
     Returns None when either endpoint has no hop in the graph (it is absent,
     or only a predicate there) or they are not connected.
     """
     if x == y:
         raise ValueError("path endpoints must differ")
-    if not (x.concrete and y.concrete):
+    if x.kind == VARIABLE or y.kind == VARIABLE:
         raise ValueError("path endpoints must be concrete")
-    start, end = (x, y) if x.sort_key() < y.sort_key() else (y, x)
+    # as tuples, terms order by kind and lexical as their sort keys do; only
+    # a tie there needs the keys, which read a missing tag or datatype as ""
+    if x.kind != y.kind or x.lexical != y.lexical:
+        start, end = (x, y) if x < y else (y, x)
+    else:
+        start, end = (x, y) if x.sort_key() < y.sort_key() else (y, x)
     hops = graph._hops
     out = hops.get(start)
     if out is None or end not in hops:
@@ -238,16 +249,18 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
             if best is None or _step_key(step) < _step_key(best):
                 best = step
     if best is not None:
-        return PathSignature((best,), (start, end))
+        return _signature(((best,), (start, end)))
 
     for first in out:
         for second in hops[first.waypoint]:
             if second.waypoint == end:
-                steps = _renamed((first, second))
+                steps = (first, second)
+                if VARIABLE in (first.predicate.kind, first.waypoint.kind, second.predicate.kind):
+                    steps = _renamed(steps)
                 if best is None or _steps_less(steps, best):
                     best = steps
     if best is not None:
-        return PathSignature(best, (start, end))
+        return _signature((best, (start, end)))
 
     dist = _bfs_distances(graph, end, start)
     if start not in dist:
@@ -264,4 +277,4 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
         for step in hops[node]:
             if dist.get(step.waypoint) == remaining:
                 stack.append((step.waypoint, steps + (step,)))
-    return PathSignature(best, (start, end))
+    return _signature((best, (start, end)))

@@ -133,9 +133,10 @@ def select_top_nodes(
     return ranked[:count]
 
 
-def _holders(store: WorkloadStore, relevant: set[int], term: Term) -> list[int]:
+def _holders(store: WorkloadStore, relevant: set[int], term: Term) -> list[tuple]:
     """The relevant ids whose queries hold ``term`` as a node (a concrete
-    subject or object); ``relevant`` is a set of member ids of ``store``.
+    subject or object), each as ``(id, node terms)`` with the node-terms
+    tuple its test read; ``relevant`` is a set of member ids of ``store``.
 
     Reads from the smaller side: a posting no longer than ``relevant`` is
     intersected into it, and else each relevant id's node terms are tested.
@@ -145,7 +146,7 @@ def _holders(store: WorkloadStore, relevant: set[int], term: Term) -> list[int]:
     posting = store.term_index.get(term, ())
     candidates = relevant.intersection(posting) if len(posting) <= len(relevant) else relevant
     node_terms = store.node_terms
-    return [qid for qid in candidates if term in node_terms(qid)]
+    return [(qid, nodes) for qid in candidates if term in (nodes := node_terms(qid))]
 
 
 def link(
@@ -157,12 +158,13 @@ def link(
     """Most frequent shortest query path linking ``x`` to any visited node.
 
     Reads only the relevant queries that hold ``x`` as a node (``_holders``,
-    from the smaller side), each with one path per visited node of its
-    graph; a query holding ``x`` only as a predicate has no such path.
-    Frequencies accumulate across all of them; ties break by shorter length,
-    then least signature.  Returns None when no relevant query connects
-    ``x`` to the summary.  ``relevant_ids`` is any iterable of member ids of
-    ``store``; a set is read without a copy.
+    from the smaller side, with the node terms each test read), each with
+    one path per visited node of its graph; a query holding ``x`` only as a
+    predicate has no such path.  Frequencies accumulate across all of them;
+    a lone top signature needs no sort key, and ties break by shorter
+    length, then least signature.  Returns None when no relevant query
+    connects ``x`` to the summary.  ``relevant_ids`` is any iterable of
+    member ids of ``store``; a set is read without a copy.
     """
     if not visited:
         raise ValueError("visited set must be non-empty")
@@ -171,21 +173,21 @@ def link(
         raise ValueError("node to link is already in the summary")
     if not isinstance(relevant_ids, (set, frozenset)):
         relevant_ids = set(relevant_ids)
-    tally: Counter = Counter()
-    for qid in _holders(store, relevant_ids, x):
-        ends = partners.intersection(store.node_terms(qid))
+    tally: dict[PathSignature, int] = {}
+    for qid, nodes in _holders(store, relevant_ids, x):
+        ends = partners.intersection(nodes)
         if ends:
             graph = store.graph(qid)
             for y in ends:
                 signature = shortest_path(graph, x, y)
                 if signature is not None:
-                    tally[signature] += 1
+                    tally[signature] = tally.get(signature, 0) + 1
     if not tally:
         return None
-    # sort keys only for the signatures tied at the top count
+    # sort keys only when several signatures tie at the top count
     top = max(tally.values())
-    return min((s for s, n in tally.items() if n == top),
-               key=lambda s: (len(s.steps), s.sort_key()))
+    tied = [s for s, n in tally.items() if n == top]
+    return tied[0] if len(tied) == 1 else min(tied, key=lambda s: (len(s.steps), s.sort_key()))
 
 
 def _fresh_blanks(store: WorkloadStore) -> Iterator[Term]:
@@ -337,7 +339,7 @@ def _name_blind_key(edge: TriplePattern) -> tuple:
 
 def _incident_edges(store: WorkloadStore, relevant: set[int], term: Term) -> set:
     """The edges at ``term`` in the graphs of the relevant queries that hold it as a node."""
-    return {e for qid in _holders(store, relevant, term)
+    return {e for qid, _ in _holders(store, relevant, term)
             for e in store.graph(qid).edges if term in (e.subject, e.object)}
 
 

@@ -7,12 +7,14 @@ literals, ``_:b`` labels, variable predicates and variables with several types.
 
 import io
 
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from isummary.coverage import CoverageConfig, InsufficientWorkload, evaluate, write_csv
 from isummary.summarizer import (
-    NoRelevantQueries, SummaryRequest, summarize, to_json, to_ntriples,
+    BUDGET_SHORTFALL, OFF_LEDGER_RESOURCE, NoRelevantQueries, SummaryRequest, summarize,
+    to_json, to_ntriples,
 )
 from isummary.terms import blank, iri, literal
 
@@ -200,3 +202,40 @@ def test_doubled_university_log():
     for seed in ("Person", "Organization", "Publication"):
         for k in (2, 3, 5):
             _check_doubled(UNIVERSITY_LOG, [iri(seed)], k)
+
+
+# -- budget nesting -------------------------------------------------------------
+
+def _budget_blind_warnings(summary):
+    """The warnings except a shortfall and off-ledger resources, which depend
+    on the budget: a larger one can fill up or put an off-ledger node on the ledger."""
+    return [w for w in summary.warnings if w.kind not in (BUDGET_SHORTFALL, OFF_LEDGER_RESOURCE)]
+
+
+def _check_budget_nesting(log, seeds, k, larger_k):
+    """The greedy summary at budget k is a prefix of the one at ``larger_k``."""
+    store = store_from_texts(_texts(log))
+    try:
+        small = summarize(store, SummaryRequest(tuple(seeds), k))
+    except NoRelevantQueries:
+        with pytest.raises(NoRelevantQueries):
+            summarize(store, SummaryRequest(tuple(seeds), larger_k))
+        return
+    large = summarize(store, SummaryRequest(tuple(seeds), larger_k))
+    assert large.triples[:len(small.triples)] == small.triples
+    assert large.nodes[:len(small.nodes)] == small.nodes
+    warnings = _budget_blind_warnings(small)
+    assert _budget_blind_warnings(large)[:len(warnings)] == warnings
+
+
+@settings(max_examples=150, deadline=None)
+@given(log=_logs, request=_requests, more=st.integers(min_value=1, max_value=4))
+def test_greedy_summaries_are_prefix_nested_in_k(log, request, more):
+    seeds, k, _ = request
+    _check_budget_nesting(log, seeds, k, k + more)
+
+
+def test_greedy_summaries_are_prefix_nested_in_k_on_university_log():
+    for seeds in ([iri("Person")], [iri("Person"), iri("Organization")]):
+        for k in (2, 3, 4):
+            _check_budget_nesting(UNIVERSITY_LOG, seeds, k, 6)
