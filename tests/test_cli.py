@@ -107,6 +107,16 @@ def test_malformed_base_prefix_is_a_bad_seed(log_file, capsys):
     assert "InvalidRequest: bad seed term" in err and "Traceback" not in err
 
 
+def test_base_prefix_with_a_character_iriref_excludes_is_a_bad_seed(log_file, tmp_path, capsys):
+    out = tmp_path / "summary.nt"
+    code = main(["summarize", "--log", str(log_file), "--seed", "Person", "--k", "3",
+                 "--base-prefix", "http://ex.org/>", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "InvalidRequest: bad seed term" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_synth_then_evaluate_round_trip(tmp_path, capsys):
     workload = tmp_path / "synth.txt"
     code = main([

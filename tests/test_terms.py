@@ -27,6 +27,13 @@ def test_iri_rejects_whitespace_and_empty():
         iri("")
 
 
+@pytest.mark.parametrize("char", list('<>"{}|^`\\') + ["\x00", "\x1f", " "])
+def test_iri_rejects_each_character_iriref_excludes(char):
+    # an IRI is written between angle brackets, so none of these may be in one
+    with pytest.raises(ValueError):
+        iri(f"a{char}b")
+
+
 def test_variable_name_rules():
     variable("x_1")
     with pytest.raises(ValueError):

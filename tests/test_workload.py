@@ -153,6 +153,19 @@ def test_malformed_iri_record_counted_as_rejected(tmp_path):
     assert store.rejected_count == 1
 
 
+def test_bare_name_under_a_prefix_with_a_character_iriref_excludes_is_rejected(tmp_path):
+    path = tmp_path / "log.txt"
+    path.write_text(
+        "SELECT ?x WHERE { ?x <http://p> Person }\n"  # the fast path's shape
+        "SELECT ?x WHERE {?x a Person}\n"
+        "SELECT ?x WHERE { ?x <http://p> <http://o> }\n",
+        encoding="utf-8",
+    )
+    store = load_workload(path, format="raw-lines", base_prefix="http://ex.org/>")
+    assert len(store) == 1
+    assert store.rejected_count == 2
+
+
 def test_rejection_warnings_rate_limited(tmp_path, caplog):
     path = tmp_path / "log.txt"
     path.write_text("not sparql\n" * 50 + "SELECT ?x WHERE {?x a Person}\n", encoding="utf-8")
