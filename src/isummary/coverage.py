@@ -256,7 +256,7 @@ def evaluate(
         raise ValueError("k_values must be non-empty")
     all_ids = [q.id for q in store.queries]
     counts = node_frequencies(store, all_ids)
-    order = sorted(counts, key=Term.sort_key)
+    order = sorted(counts)
     holders = _node_holders(store, counts, order)
     rows: list[EvalRow] = []
     warnings: list[str] = []
@@ -302,7 +302,7 @@ def evaluate(
             fold_means.append(sum(r.coverage for r in fold_rows) / len(fold_rows))
         rows.extend(fold_rows)
 
-    rows.sort(key=lambda r: (r.fold, r.seed.sort_key(), r.k, r.strategy))
+    rows.sort(key=lambda r: (r.fold, r.seed, r.k, r.strategy))
     overall = sum(fold_means) / len(fold_means) if fold_means else 0.0
     variance = (
         sum((m - overall) ** 2 for m in fold_means) / len(fold_means) if fold_means else 0.0

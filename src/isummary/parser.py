@@ -312,7 +312,7 @@ class _Parser:
                 self._error("expected predicate", tok)
         self._advance()
         if kind == "VAR":
-            term = self._interned(tok, Term, (VARIABLE, value[1:], None))
+            term = self._interned(tok, Term, (VARIABLE, value[1:], ""))
         elif kind == "NAME":
             if predicate and value == "a":
                 term = self.table.setdefault(RDF_TYPE, RDF_TYPE)
@@ -325,9 +325,9 @@ class _Parser:
         elif kind == "STRING":
             term = self._finish_literal(tok)
         elif kind == "BLANK":
-            term = self._interned(tok, Term, (BLANK, value[2:], None))
+            term = self._interned(tok, Term, (BLANK, value[2:], ""))
         elif kind == "NUMBER":
-            term = self._interned(tok, Term, (LITERAL, value, None))
+            term = self._interned(tok, Term, (LITERAL, value, ""))
         elif kind == "OTHER":
             self._error(f"unexpected character {value!r}", tok)
         else:
@@ -340,7 +340,7 @@ class _Parser:
         inner = tok[1][1:-1]
         if not inner:
             self._error("empty IRI", tok)
-        return self._interned(tok, Term, (IRI, inner, None))
+        return self._interned(tok, Term, (IRI, inner, ""))
 
     def _term_from_name(self, tok) -> Term:
         value = tok[1]
@@ -351,8 +351,8 @@ class _Parser:
             expanded = self.prefixes[prefix] + local
             if not expanded:
                 self._error("empty IRI", tok)
-            return self._interned(tok, Term, (IRI, expanded, None))
-        return self._interned(tok, Term, (IRI, self.base_prefix + value, None))
+            return self._interned(tok, Term, (IRI, expanded, ""))
+        return self._interned(tok, Term, (IRI, self.base_prefix + value, ""))
 
     def _finish_literal(self, tok) -> Term:
         lexical = self._decode_string(tok)
@@ -370,7 +370,7 @@ class _Parser:
             else:
                 self._error("expected datatype IRI", dt_tok)
             return self._interned(tok, Term, (LITERAL, lexical, dt.lexical))
-        return self._interned(tok, Term, (LITERAL, lexical, None))
+        return self._interned(tok, Term, (LITERAL, lexical, ""))
 
     def _decode_string(self, tok) -> str:
         # the STRING token pairs every backslash with the character after it
@@ -488,15 +488,15 @@ def parse_query(
     """Parse one query into its triple patterns.
 
     ``intern`` is one table per log, parsed with one ``base_prefix``.  It maps
-    ``(kind, lexical, datatype_or_lang)`` to the :class:`Term` built for it,
-    ``(subject, predicate, object)`` to the :class:`TriplePattern` built for
-    it, and each accepted record text to its patterns tuple.  So each
-    distinct term and triple is built and validated once and is one shared
-    object across the log's queries, and each distinct accepted text is
-    parsed once: a repeated text gets the same patterns tuple.  The table
-    holds no rejection, so a rejected text is parsed again at each
-    occurrence.  It also holds the fast path's token memo (token to term, or
-    give up), under a private key.
+    ``(kind, lexical, tag)``, with ``""`` for no tag, to the :class:`Term`
+    built for it, ``(subject, predicate, object)`` to the
+    :class:`TriplePattern` built for it, and each accepted record text to its
+    patterns tuple.  So each distinct term and triple is built and validated
+    once and is one shared object across the log's queries, and each distinct
+    accepted text is parsed once: a repeated text gets the same patterns
+    tuple.  The table holds no rejection, so a rejected text is parsed again
+    at each occurrence.  It also holds the fast path's token memo (token to
+    term, or give up), under a private key.
 
     A plain ``SELECT ?v… WHERE { s p o . … }`` text is read by the fast path
     (see the module docstring); it returns the patterns, as the same

@@ -9,19 +9,19 @@ or removes one.
 
 A hop along an edge, either way, is a ``Step``.  The graph keeps each node's
 distinct hops, so parallel edges with the same predicate and orientation are
-walked once.  ``shortest_path`` walks hops from the endpoint with the lesser
-sort key, and a path's signature is its walked steps with the variables
-renamed by position (``positional_name``, the one renaming function).  Paths
-of one and two hops need no search.  A direct hop between the endpoints
-comes first: the least renamed one is the path.  Next, each hop out of the
-walk's start is paired with each hop out of its waypoint that reaches the
-other endpoint, so the pairs run through the endpoints' common neighbours,
-and the least renamed pair is the path.  Only a path of three or more hops
-takes a breadth-first search from the other endpoint, which stops at the
-layer that reaches the walk's start, and a walk that enumerates the
-equal-length paths.  Sort keys are built only when a second equal-length
-path turns up, and then only for the first step where it differs from the
-least path so far.
+walked once.  Terms, steps and signatures are tuples of their fields, and a
+term with no tag holds ``""``, so tuple order is their one order.
+``shortest_path`` walks hops from the lesser endpoint, and a path's
+signature is its walked steps with the variables renamed by position
+(``positional_name``, the one renaming function).  Paths of one and two hops
+need no search.  A direct hop between the endpoints comes first: the least
+renamed one is the path.  Next, each hop out of the walk's start is paired
+with each hop out of its waypoint that reaches the other endpoint, so the
+pairs run through the endpoints' common neighbours, and the least renamed
+pair is the path.  Only a path of three or more hops takes a breadth-first
+search from the other endpoint, which stops at the layer that reaches the
+walk's start, and a walk that enumerates the equal-length paths, of which
+the least renamed one wins.
 """
 
 from __future__ import annotations
@@ -45,40 +45,18 @@ class Step(NamedTuple):
     waypoint: Term
 
 
-def _step_key(step: Step) -> tuple:
-    return (step.predicate.sort_key(), step.direction, step.waypoint.sort_key())
-
-
-def _steps_key(steps) -> tuple:
-    return tuple(map(_step_key, steps))
-
-
-def _steps_less(a: tuple[Step, ...], b: tuple[Step, ...]) -> bool:
-    """``_steps_key(a) < _steps_key(b)`` for steps of equal length, with keys
-    built only where the two first differ."""
-    for s, t in zip(a, b):
-        if s != t:
-            s_key, t_key = _step_key(s), _step_key(t)
-            if s_key != t_key:
-                return s_key < t_key
-    return False
-
-
 class PathSignature(NamedTuple):
     """Canonical form of one query path.
 
-    Endpoints are ordered by term sort key and variables are renamed
+    Endpoints are ordered by term order and variables are renamed
     positionally (v0, v1, ...), so two alpha-equivalent paths — or the same
     path read from either end — compare and hash equal.  Each step keeps the
     as-written direction of its edge so emitted triples preserve the original
-    subject/object orientation.
+    subject/object orientation.  Signatures order as tuples: steps first.
     """
 
     steps: tuple[Step, ...]
     endpoints: tuple[Term, Term]
-
-    def sort_key(self):
-        return (_steps_key(self.steps), self.endpoints[0].sort_key(), self.endpoints[1].sort_key())
 
 
 # builds a signature from its field tuple in C, without the NamedTuple's Python __new__
@@ -122,7 +100,7 @@ def _type_relabel(patterns) -> dict[Term, Term]:
             and pattern.object.kind == IRI
         ):
             current = least.get(pattern.subject)
-            if current is None or pattern.object.sort_key() < current.sort_key():
+            if current is None or pattern.object < current:
                 least[pattern.subject] = pattern.object
     return least
 
@@ -212,30 +190,22 @@ def _renamed(steps: tuple[Step, ...]) -> tuple[Step, ...]:
 def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
     """Minimum-hop path between two concrete terms, as a canonical signature.
 
-    The path is walked from the endpoint with the lesser sort key (compared
-    by kind and lexical, and by the keys only when both tie), and among
-    equal-length paths the lexicographically least renamed signature wins.
-    There are three stages, each run only when the one before finds nothing:
-    a direct hop to the other endpoint; a common neighbour, that is a hop
-    out of the start paired with a hop out of its waypoint to the other
-    endpoint; and a walk that follows the distances of a breadth-first
-    search from the other endpoint, stopped at the layer reaching the
-    walk's start.  The first two run no search, and a pair of hops is
-    renamed only when it holds a variable.  Sort keys are built only
-    for the first step where a later path differs from the least one so far.
-    Returns None when either endpoint has no hop in the graph (it is absent,
+    The path is walked from the lesser endpoint, and among equal-length
+    paths the least renamed signature wins: terms, steps and signatures
+    order as tuples.  There are three stages, each run only when the one
+    before finds nothing: a direct hop to the other endpoint; a common
+    neighbour, that is a hop out of the start paired with a hop out of its
+    waypoint to the other endpoint; and a walk that follows the distances of
+    a breadth-first search from the other endpoint, stopped at the layer
+    reaching the walk's start.  The first two run no search, and a pair of
+    hops is renamed only when it holds a variable.  Returns None when either endpoint has no hop in the graph (it is absent,
     or only a predicate there) or they are not connected.
     """
     if x == y:
         raise ValueError("path endpoints must differ")
     if x.kind == VARIABLE or y.kind == VARIABLE:
         raise ValueError("path endpoints must be concrete")
-    # as tuples, terms order by kind and lexical as their sort keys do; only
-    # a tie there needs the keys, which read a missing tag or datatype as ""
-    if x.kind != y.kind or x.lexical != y.lexical:
-        start, end = (x, y) if x < y else (y, x)
-    else:
-        start, end = (x, y) if x.sort_key() < y.sort_key() else (y, x)
+    start, end = (x, y) if x < y else (y, x)
     hops = graph._hops
     out = hops.get(start)
     if out is None or end not in hops:
@@ -246,7 +216,7 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
         if step.waypoint == end:
             if step.predicate.kind == VARIABLE:
                 (step,) = _renamed((step,))
-            if best is None or _step_key(step) < _step_key(best):
+            if best is None or step < best:
                 best = step
     if best is not None:
         return _signature(((best,), (start, end)))
@@ -257,7 +227,7 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
                 steps = (first, second)
                 if VARIABLE in (first.predicate.kind, first.waypoint.kind, second.predicate.kind):
                     steps = _renamed(steps)
-                if best is None or _steps_less(steps, best):
+                if best is None or steps < best:
                     best = steps
     if best is not None:
         return _signature((best, (start, end)))
@@ -270,7 +240,7 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
         node, steps = stack.pop()
         if node == end:
             steps = _renamed(steps)
-            if best is None or _steps_less(steps, best):
+            if best is None or steps < best:
                 best = steps
             continue
         remaining = dist[node] - 1

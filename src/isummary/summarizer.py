@@ -103,7 +103,7 @@ def node_frequencies(
 def _ledger_order(item: tuple[Term, int]) -> tuple:
     """Sort key of a ``(term, count)`` pair: count descending, then term ascending."""
     term, count = item
-    return (-count, term.sort_key())
+    return (-count, term)
 
 
 def _budget_shortfall(available: int, budget: int) -> SummaryWarning:
@@ -160,11 +160,10 @@ def link(
     Reads only the relevant queries that hold ``x`` as a node (``_holders``,
     from the smaller side, with the node terms each test read), each with
     one path per visited node of its graph; a query holding ``x`` only as a
-    predicate has no such path.  Frequencies accumulate across all of them;
-    a lone top signature needs no sort key, and ties break by shorter
-    length, then least signature.  Returns None when no relevant query
-    connects ``x`` to the summary.  ``relevant_ids`` is any iterable of
-    member ids of ``store``; a set is read without a copy.
+    predicate has no such path.  Frequencies accumulate across all of them,
+    and ties break by shorter length, then least signature.  Returns None
+    when no relevant query connects ``x`` to the summary.  ``relevant_ids``
+    is any iterable of member ids of ``store``; a set is read without a copy.
     """
     if not visited:
         raise ValueError("visited set must be non-empty")
@@ -184,10 +183,8 @@ def link(
                     tally[signature] = tally.get(signature, 0) + 1
     if not tally:
         return None
-    # sort keys only when several signatures tie at the top count
     top = max(tally.values())
-    tied = [s for s, n in tally.items() if n == top]
-    return tied[0] if len(tied) == 1 else min(tied, key=lambda s: (len(s.steps), s.sort_key()))
+    return min((len(s.steps), s) for s, n in tally.items() if n == top)[1]
 
 
 def _fresh_blanks(store: WorkloadStore) -> Iterator[Term]:
@@ -332,9 +329,9 @@ def _greedy_summary(store, request, relevant, budget, triples, blanks, warnings)
 
 
 def _name_blind_key(edge: TriplePattern) -> tuple:
-    """The sort keys of the edge's terms, each variable renamed by its first position."""
+    """The edge's terms, each variable renamed by its first position."""
     names: dict = {}
-    return tuple([positional_name(t, names).sort_key() for t in edge])
+    return tuple([positional_name(t, names) for t in edge])
 
 
 def _incident_edges(store: WorkloadStore, relevant: set[int], term: Term) -> set:
@@ -349,7 +346,7 @@ def _random_summary(store, request, relevant, budget, triples, blanks, warnings)
     ``relevant`` is a set of member ids of ``store``."""
     rng = XorShift64Star(request.random_seed)
     freq = node_frequencies(store, relevant, exclude=request.seeds)
-    pool = sorted(freq, key=Term.sort_key)
+    pool = sorted(freq)
     chosen = rng.sample(pool, min(budget, len(pool)))
     if len(chosen) < budget:
         warnings.append(_budget_shortfall(len(chosen), budget))

@@ -15,7 +15,8 @@ RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 _KINDS = frozenset((IRI, LITERAL, BLANK, VARIABLE))
 _VARNAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _BLANK_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*\Z")
-_WHITESPACE_RE = re.compile(r"\s")
+# whitespace, and every character that SPARQL's IRIREF token excludes
+_IRI_FORBIDDEN_RE = re.compile(r'[\s<>"{}|^`\\\x00-\x20]')
 
 _LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
@@ -23,7 +24,7 @@ _LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\
 class _TermFields(NamedTuple):
     kind: str
     lexical: str
-    datatype_or_lang: str | None = None
+    tag: str = ""
 
 
 class Term(_TermFields):
@@ -31,11 +32,13 @@ class Term(_TermFields):
 
     ``lexical`` holds the IRI without angle brackets, the literal's lexical
     form, the blank node label, or the variable name without the leading
-    ``?``.  ``datatype_or_lang`` applies to literals only: a datatype IRI, or
-    a language tag stored with its leading ``@``.
+    ``?``.  ``tag`` applies to literals only: a datatype IRI, a language tag
+    stored with its leading ``@``, or ``""`` for none.  The constructor reads
+    a missing tag, ``None`` or ``""``, as ``""``; ``datatype_or_lang`` is the
+    tag, or None when there is none.
 
     A tuple of its three fields, so it hashes and compares as
-    ``(kind, lexical, datatype_or_lang)``; order terms by ``sort_key``.
+    ``(kind, lexical, tag)``: terms order with ``<``, kind first.
     """
 
     __slots__ = ()
@@ -44,7 +47,7 @@ class Term(_TermFields):
         if kind not in _KINDS:
             raise ValueError(f"unknown term kind: {kind!r}")
         if kind == IRI:
-            if not lexical or _WHITESPACE_RE.search(lexical):
+            if not lexical or _IRI_FORBIDDEN_RE.search(lexical):
                 raise ValueError(f"malformed IRI: {lexical!r}")
         elif kind == VARIABLE:
             if not _VARNAME_RE.match(lexical):
@@ -52,18 +55,17 @@ class Term(_TermFields):
         elif kind == BLANK:
             if not _BLANK_RE.match(lexical):
                 raise ValueError(f"malformed blank node label: {lexical!r}")
-        if kind != LITERAL and datatype_or_lang is not None:
+        if kind != LITERAL and datatype_or_lang:
             raise ValueError("datatype_or_lang is only valid for literals")
-        if datatype_or_lang == "":
-            raise ValueError("datatype_or_lang must be None or non-empty")
-        return tuple.__new__(cls, (kind, lexical, datatype_or_lang))
+        return tuple.__new__(cls, (kind, lexical, datatype_or_lang or ""))
+
+    @property
+    def datatype_or_lang(self) -> str | None:
+        return self.tag or None
 
     @property
     def concrete(self) -> bool:
         return self.kind != VARIABLE
-
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.kind, self.lexical, self.datatype_or_lang or "")
 
     def to_sparql(self) -> str:
         """Render in SPARQL surface syntax (variables as ``?name``)."""
@@ -74,11 +76,11 @@ class Term(_TermFields):
         if self.kind == BLANK:
             return f"_:{self.lexical}"
         body = "".join(_LITERAL_ESCAPES.get(c, c) for c in self.lexical)
-        if self.datatype_or_lang is None:
+        if not self.tag:
             return f'"{body}"'
-        if self.datatype_or_lang.startswith("@"):
-            return f'"{body}"{self.datatype_or_lang}'
-        return f'"{body}"^^<{self.datatype_or_lang}>'
+        if self.tag.startswith("@"):
+            return f'"{body}"{self.tag}'
+        return f'"{body}"^^<{self.tag}>'
 
     def to_ntriples(self) -> str:
         if self.kind == VARIABLE:

@@ -63,12 +63,34 @@ def _random_store(rng, n_queries):
     return store_from_texts(texts)
 
 
+def term_key(term):
+    """Oracle: the order of terms spelled out, apart from their tuple order:
+    kind, then lexical, then the datatype or language tag, a missing one
+    read as ``""``."""
+    return (term.kind, term.lexical, term.datatype_or_lang or "")
+
+
+def signature_key(signature):
+    """Oracle: a path signature's order by ``term_key``: steps, then ends."""
+    steps = tuple((term_key(p), d, term_key(w)) for p, d, w in signature.steps)
+    return (steps, tuple(map(term_key, signature.endpoints)))
+
+
+def oracle_terms(terms):
+    """``terms``, a term or a nest of tuples of them, in the benchmark
+    oracle's form: plain tuples ``(kind, lexical, datatype_or_lang)``, with
+    None for a missing tag."""
+    if isinstance(terms, Term):
+        return (terms.kind, terms.lexical, terms.datatype_or_lang)
+    return tuple(map(oracle_terms, terms))
+
+
 def collapsed_nodes(query):
     """Oracle: the node set of the query's type-collapsed graph, variables
     included: ``oracle.collapse``'s concrete nodes plus its edges' ends (an
     absorbed type pattern has only concrete ends)."""
-    nodes, edges = oracle.collapse(query.patterns)
-    return nodes | {t for subject, _, obj in edges for t in (subject, obj)}
+    nodes, edges = oracle.collapse(oracle_terms(query.patterns))
+    return {Term(*t) for t in nodes} | {Term(*t) for s, _, o in edges for t in (s, o)}
 
 
 def scanned_node_terms(query):
@@ -103,7 +125,7 @@ def _oracle_signature(start, hops):
     nodes = [start] + [node for _, _, node in hops]
     predicates = [predicate for predicate, _, _ in hops]
     directions = [direction for _, direction, _ in hops]
-    if nodes[0].sort_key() > nodes[-1].sort_key():
+    if term_key(nodes[0]) > term_key(nodes[-1]):
         nodes.reverse()
         predicates.reverse()
         directions = [BACKWARD if d == FORWARD else FORWARD for d in reversed(directions)]
@@ -123,7 +145,7 @@ def _oracle_signature(start, hops):
 
 def oracle_shortest_path(graph, x, y):
     """Every minimum-hop walk from ``x`` to ``y`` over every edge of
-    ``graph.edges``, each made a signature; the least one by ``sort_key``."""
+    ``graph.edges``, each made a signature; the least by ``signature_key``."""
     adj = {}
     for edge in graph.edges:
         adj.setdefault(edge.subject, []).append((edge.predicate, FORWARD, edge.object))
@@ -148,7 +170,7 @@ def oracle_shortest_path(graph, x, y):
         for hop in adj.get(node, ()):
             if dist.get(hop[2]) == dist[node] - 1:
                 stack.append((hop[2], hops + (hop,)))
-    return min(signatures, key=PathSignature.sort_key)
+    return min(signatures, key=signature_key)
 
 
 @pytest.fixture(scope="session")

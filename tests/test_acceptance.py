@@ -28,7 +28,7 @@ from isummary.steiner import (
 )
 from isummary.summarizer import SummaryRequest, select_top_nodes, summarize
 from isummary.synth import SyntheticSpec
-from isummary.terms import Term, TriplePattern, iri
+from isummary.terms import TriplePattern, iri
 from isummary.workload import load_workload
 
 from conftest import (
@@ -36,6 +36,7 @@ from conftest import (
     _random_store,
     generate_synthetic,
     oracle,
+    oracle_terms,
     store_from_texts,
 )
 
@@ -149,7 +150,6 @@ def test_criterion_4_monotonicity(tmp_path):
     store = load_workload(path)
     pool = sorted(
         {t for q in store.queries for term_set in [store.node_terms(q.id)] for t in term_set},
-        key=Term.sort_key,
     )
     seed_rng = XorShift64Star(5)
     seeds = seed_rng.sample(pool, 25)
@@ -271,14 +271,14 @@ def test_criterion_7_coverage_oracle_equivalence():
         store = _random_store(rng, 4 + rng.randrange(17))
         pool = sorted(
             {t for q in store.queries for p in q.patterns for t in p.terms() if t.concrete},
-            key=Term.sort_key,
         )
         seed = pool[rng.randrange(len(pool))]
         summary = summarize(store, SummaryRequest((seed,), 1 + rng.randrange(4)))
         mine = coverage(summary, store, [seed], config)
         expected_n, _, _, expected_mean = oracle.brute_coverage(
-            [t for t, _ in summary.nodes], summary.triples,
-            [q.patterns for q in store.queries], [seed], config.w_node, config.w_edge,
+            oracle_terms([t for t, _ in summary.nodes]), oracle_terms(summary.triples),
+            oracle_terms([q.patterns for q in store.queries]), oracle_terms([seed]),
+            config.w_node, config.w_edge,
         )
         assert mine.n == expected_n
         assert abs(mine.mean - expected_mean) <= 1e-9

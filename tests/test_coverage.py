@@ -32,6 +32,7 @@ from conftest import (
     generate_synthetic,
     oracle,
     store_from_texts,
+    term_key,
 )
 from test_metamorphic import _OBJECTS, _PREDICATES, _SUBJECTS, _texts
 
@@ -141,7 +142,7 @@ def test_duplicated_test_queries_leave_mean_unchanged(university_store):
 def test_containing_whole_query_graph_is_full_coverage(university_store):
     query = university_store.query(2)
     graph = build_graph(query)
-    nodes = tuple((t, 1) for t in sorted(collapsed_nodes(query), key=Term.sort_key))
+    nodes = tuple((t, 1) for t in sorted(collapsed_nodes(query)))
     summary = Summary(
         triples=graph.edges,
         nodes=nodes,
@@ -168,7 +169,7 @@ def test_evaluate_row_count_and_sorting():
     assert len(result.rows) == 2 * 3 * 2 * 2 - sum(
         1 for w in result.warnings if w.startswith("SkippedCell")
     )
-    keys = [(r.fold, r.seed.sort_key(), r.k, r.strategy) for r in result.rows]
+    keys = [(r.fold, term_key(r.seed), r.k, r.strategy) for r in result.rows]
     assert keys == sorted(keys)
     assert len(result.fold_stats.fold_means) == 2
 
@@ -177,7 +178,7 @@ def _pool_inputs(store):
     """The store's node counts, their terms in sort order and each term's
     node holders, as ``evaluate`` computes them once per call."""
     counts = node_frequencies(store, store.ids())
-    order = sorted(counts, key=Term.sort_key)
+    order = sorted(counts, key=term_key)
     return counts, order, _node_holders(store, counts, order)
 
 

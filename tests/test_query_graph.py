@@ -11,17 +11,23 @@ from isummary.parser import ParsedQuery, parse_query
 from isummary.query_graph import (
     BACKWARD,
     FORWARD,
+    PathSignature,
     Step,
-    _steps_key,
-    _steps_less,
     build_graph,
     shortest_path,
 )
 from isummary.rng import XorShift64Star
-from isummary.terms import RDF_TYPE, Term, TriplePattern, iri, literal, variable
+from isummary.terms import RDF_TYPE, TriplePattern, blank, iri, literal, variable
 from isummary.workload import concrete_node_terms
 
-from conftest import collapsed_nodes, oracle, oracle_shortest_path, scanned_node_terms
+from conftest import (
+    collapsed_nodes,
+    oracle,
+    oracle_shortest_path,
+    scanned_node_terms,
+    signature_key,
+    term_key,
+)
 
 
 def graph_of(text):
@@ -111,7 +117,7 @@ def test_type_flood_builds_within_a_cap():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert graph is not None, "build_graph exceeded its 2 s cap"
-    least = min(classes, key=Term.sort_key)
+    least = min(classes, key=term_key)
     assert len(graph.edges) == len(classes) - 1
     assert {e.subject for e in graph.edges} == {least}
     assert TriplePattern(least, RDF_TYPE, least) not in graph.edges
@@ -271,7 +277,7 @@ def test_shortest_path_length_matches_networkx_oracle():
     for _ in range(300):
         g = _random_query_graph(rng, 3 + rng.randrange(6), 2 + rng.randrange(8))
         # no type patterns here, so every node is an edge end
-        nodes = sorted({t for e in g.edges for t in (e.subject, e.object)}, key=Term.sort_key)
+        nodes = sorted({t for e in g.edges for t in (e.subject, e.object)})
         if len(nodes) < 2:
             continue
         nxg = nx.MultiGraph()
@@ -308,33 +314,44 @@ _small_queries = st.lists(
 
 @settings(max_examples=400, deadline=None)
 @given(tokens=_small_queries)
-# endpoints equal in kind and lexical: only the sort key, which reads the
-# missing tag as "", orders them
+# endpoints equal in kind and lexical: only the tag, "" when missing,
+# orders them
 @example(tokens=[("?x", "p", '"l"'), ("?x", "q", '"l"@en')])
 def test_shortest_path_matches_enumerator_oracle(tokens):
     query = parse_query("SELECT * WHERE { " + " . ".join(" ".join(t) for t in tokens) + " }")
     graph = build_graph(query)
-    concrete = sorted(oracle.collapse(query.patterns)[0], key=Term.sort_key)
+    concrete = sorted(oracle.collapse(query.patterns)[0])
     absent = iri("Absent")
     for x, y in itertools.permutations(concrete + [absent], 2):
         assert shortest_path(graph, x, y) == oracle_shortest_path(graph, x, y), (x, y)
 
 
-_step = st.builds(
-    Step,
-    st.sampled_from([iri("p"), iri("q"), variable("v0")]),
-    st.sampled_from([FORWARD, BACKWARD]),
-    st.sampled_from([iri("A"), literal("A"), variable("v0"), variable("v1")]),
+# every kind, and a literal untagged, language-tagged and typed: with its tag
+# stored as "" when missing, a term's tuple order is its spelled-out key
+_order_terms = st.sampled_from([
+    iri("l"), iri("p"), blank("l"), variable("l"), variable("v0"),
+    literal("l"), literal("l", "@en"), literal("l", "dt"), literal("m"),
+])
+_order_steps = st.builds(Step, _order_terms, st.sampled_from([FORWARD, BACKWARD]), _order_terms)
+_order_signatures = st.builds(
+    PathSignature, st.lists(_order_steps, max_size=3).map(tuple),
+    st.tuples(_order_terms, _order_terms),
 )
 
 
 @settings(max_examples=300)
-@given(data=st.data(), length=st.integers(min_value=1, max_value=4))
-def test_steps_less_orders_as_steps_key(data, length):
-    a, b = (tuple(data.draw(st.lists(_step, min_size=length, max_size=length)))
-            for _ in range(2))
+@given(data=st.data())
+@pytest.mark.parametrize("values, key", [
+    pytest.param(_order_terms, term_key, id="terms"),
+    pytest.param(_order_steps, lambda s: (term_key(s.predicate), s.direction,
+                                          term_key(s.waypoint)), id="steps"),
+    pytest.param(_order_signatures, signature_key, id="signatures"),
+])
+def test_tuple_order_agrees_with_term_key(data, values, key):
+    a, b = data.draw(values), data.draw(values)
     for x, y in ((a, b), (b, a), (a, a)):
-        assert _steps_less(x, y) == (_steps_key(x) < _steps_key(y))
+        assert (x < y) == (key(x) < key(y))
+        assert (x == y) == (key(x) == key(y))
 
 
 _ENDS = {"A": iri("A"), "B": iri("B"), '"l"': literal("l")}

@@ -38,7 +38,9 @@ from conftest import (
     oracle,
     oracle_shortest_path,
     scanned_slot_counts,
+    signature_key,
     store_from_texts,
+    term_key,
 )
 
 PERSON = iri("Person")
@@ -70,7 +72,7 @@ _slot_queries = st.lists(
 
 
 def _store_nodes(store):
-    return sorted(set().union(*map(store.node_terms, store.ids())), key=Term.sort_key)
+    return sorted(set().union(*map(store.node_terms, store.ids())))
 
 
 # -- select_top_nodes ---------------------------------------------------------
@@ -177,7 +179,7 @@ def _oracle_link(store, relevant_ids, x, visited):
                     tally[signature] += 1
     if not tally:
         return None
-    return min(tally, key=lambda s: (-tally[s], len(s.steps), s.sort_key()))
+    return min(tally, key=lambda s: (-tally[s], len(s.steps), signature_key(s)))
 
 
 class _Draws:
@@ -640,7 +642,6 @@ def test_every_triple_term_is_ledgered_or_flagged():
         store = _random_store(rng, 6 + rng.randrange(12))
         pool = sorted(
             {t for q in store.queries for p in q.patterns for t in p.terms() if t.concrete},
-            key=Term.sort_key,
         )
         seed = pool[rng.randrange(len(pool))]
         strategy = "isummary" if trial % 2 else "random"
@@ -667,7 +668,7 @@ def _int_numbered_key(edge):
     numbered 0, 1, 2 by its first occurrence in the edge."""
     names = {}
     return tuple(
-        ("variable", names.setdefault(t, len(names)), "") if t.kind == "variable" else t.sort_key()
+        ("variable", names.setdefault(t, len(names)), "") if t.kind == "variable" else term_key(t)
         for t in edge
     )
 
@@ -742,7 +743,7 @@ def test_random_summary_matches_a_walk_of_every_relevant_graph(data, texts):
     if data.draw(st.booleans(), label="view"):
         store = store.subset(data.draw(st.lists(st.sampled_from(store.ids()), min_size=1)))
     assume(store.term_index)
-    seeds = data.draw(st.lists(st.sampled_from(sorted(store.term_index, key=Term.sort_key)),
+    seeds = data.draw(st.lists(st.sampled_from(sorted(store.term_index)),
                                min_size=1, max_size=2, unique=True))
     request = SummaryRequest(
         tuple(seeds), len(seeds) + data.draw(st.integers(1, 5)), "random",

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from isummary.parser import ParsedQuery
@@ -27,7 +30,8 @@ def test_iri_rejects_whitespace_and_empty():
         iri("")
 
 
-@pytest.mark.parametrize("char", list('<>"{}|^`\\') + ["\x00", "\x1f", " "])
+@pytest.mark.parametrize("char", list('<>"{}|^`\\') + ["\x00", "\x1f", " "],
+                         ids=lambda char: f"U+{ord(char):04X}")
 def test_iri_rejects_each_character_iriref_excludes(char):
     # an IRI is written between angle brackets, so none of these may be in one
     with pytest.raises(ValueError):
@@ -55,9 +59,27 @@ def test_concrete_flag():
     assert not variable("v").concrete
 
 
-def test_sort_key_orders_iri_before_literal():
+def test_terms_order_iri_before_literal():
     # the tie-break rule: kind first, so <Professor> sorts before "FORTH"
-    assert iri("Professor").sort_key() < literal("FORTH").sort_key()
+    assert iri("Professor") < literal("FORTH")
+    # a missing tag is "", so the untagged literal comes first
+    assert literal("l") < literal("l", "@en") < literal("l", "dt")
+
+
+def test_missing_tag_is_one_value():
+    for kind, lexical in (("iri", "x"), ("literal", "l"), ("blank", "b"), ("variable", "v")):
+        assert Term(kind, lexical, None) == Term(kind, lexical, "") == Term(kind, lexical)
+        assert Term(kind, lexical).datatype_or_lang is None
+    assert literal("l").to_json()["datatypeOrLang"] is None
+    assert literal("l", "@en").datatype_or_lang == "@en"
+
+
+def test_pickle_and_copy_round_trip():
+    for term in (iri("x"), literal("l"), literal("v", "@en"), literal("5", "http://dt"),
+                 blank("b"), variable("v")):
+        for clone in (pickle.loads(pickle.dumps(term)), copy.copy(term), copy.deepcopy(term)):
+            assert clone == term and type(clone) is Term
+            assert clone.datatype_or_lang == term.datatype_or_lang
 
 
 def test_sparql_rendering():
