@@ -198,8 +198,9 @@ def shortest_path(graph: QueryGraph, x: Term, y: Term) -> PathSignature | None:
     waypoint to the other endpoint; and a walk that follows the distances of
     a breadth-first search from the other endpoint, stopped at the layer
     reaching the walk's start.  The first two run no search, and a pair of
-    hops is renamed only when it holds a variable.  Returns None when either endpoint has no hop in the graph (it is absent,
-    or only a predicate there) or they are not connected.
+    hops is renamed only when it holds a variable.  Returns None when either
+    endpoint has no hop in the graph (it is absent, or only a predicate
+    there) or they are not connected.
     """
     if x == y:
         raise ValueError("path endpoints must differ")
