@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isummary import parser
+from isummary import parser, workload
 from isummary.parser import parse_query
 from isummary.terms import RDF_TYPE, iri, literal
 from isummary.workload import EmptyWorkload, IoError, WorkloadStore, load_workload
@@ -228,6 +228,50 @@ def test_load_is_the_same_when_the_fast_path_always_gives_up(tmp_path, monkeypat
     monkeypatch.setattr(parser, "_fast_patterns", lambda *args: None)
     assert _load_outcome(path, caplog) == fast
     assert fast[1] == 40 and len(fast[0]) == 2005
+
+
+# accepted, repeated and rejected texts, one through the full parser
+_CONTRACT_TEXTS = (
+    "SELECT ?x WHERE { ?x a Person }",
+    "not sparql",
+    "SELECT ?x WHERE { ?x a Person }",
+    "PREFIX ex: <http://ex.org/> SELECT * WHERE { ?x ex:p ex:B ; ex:q ?y }",
+    "not sparql",
+    "SELECT ?y WHERE { ?y <p> <C> }",
+)
+
+
+@pytest.mark.parametrize("format", ["raw-lines", "urlencoded-lines", "tsv", "rq-directory"])
+def test_load_calls_parse_query_once_per_non_blank_record(tmp_path, monkeypatch, format):
+    """The load calls ``workload.parse_query`` once per record that holds a
+    query text, in order, repeats and rejections included; a blank record
+    and a tsv row with no query in its column are never parsed."""
+    path = tmp_path / "log"
+    if format == "rq-directory":
+        path.mkdir()
+        for i, text in enumerate(_CONTRACT_TEXTS + (" \n",)):
+            (path / f"{i:02d}.rq").write_text(text, encoding="utf-8")
+        expected = list(_CONTRACT_TEXTS)
+    elif format == "tsv":
+        rows = ["id\tquery", "1"] + [f"{i}\t{text}" for i, text in enumerate(_CONTRACT_TEXTS)]
+        path.write_text("\n".join(rows + ["", "9\t "]) + "\n", encoding="utf-8")
+        expected = ["query", *_CONTRACT_TEXTS]  # the header row is parsed, then skipped
+    else:
+        encode = quote if format == "urlencoded-lines" else str
+        path.write_text("\n\n".join(map(encode, _CONTRACT_TEXTS)) + "\n \n", encoding="utf-8")
+        expected = list(_CONTRACT_TEXTS)
+    parsed = []
+    parse = workload.parse_query
+
+    def counting(text, *args, **kwargs):
+        parsed.append(text)
+        return parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(workload, "parse_query", counting)
+    store = load_workload(path, format=format, tsv_column=1 if format == "tsv" else None)
+    assert parsed == expected
+    assert len(store) == 4
+    assert store.rejected_count == 2 + 2 * (format == "tsv")  # the two rows with no query
 
 
 def test_urlencoded_lines(tmp_path):
