@@ -92,15 +92,17 @@ class WorkloadStore:
     def __init__(self, queries: Iterable[ParsedQuery], rejected_count: int = 0):
         self.rejected_count = rejected_count
         index: dict[Term, list[int]] = {}
-        self._by_id: dict[int, ParsedQuery] = {}
+        by_id: dict[int, ParsedQuery] = {}
+        # the hot loop of a load: a pattern is the tuple of its terms, and
+        # reading `kind` saves the call of the `concrete` property
         for q in queries:
             qid = q.id
-            if qid in self._by_id:
+            if qid in by_id:
                 raise ValueError(f"duplicate query id {qid}")
-            self._by_id[qid] = q
+            by_id[qid] = q
             for pattern in q.patterns:
-                for term in pattern.terms():
-                    if term.concrete:
+                for term in pattern:
+                    if term.kind != VARIABLE:
                         posting = index.get(term)
                         if posting is None:
                             index[term] = [qid]
@@ -112,6 +114,7 @@ class WorkloadStore:
             posting.sort()
             index[term] = tuple(posting)
         self.term_index: dict[Term, tuple[int, ...]] = index
+        self._by_id = by_id
         # a root's members are its map's keys; a view's, a set (see `subset`)
         self._members: AbstractSet[int] = self._by_id.keys()
         self._graphs: dict[int, QueryGraph] = {}
