@@ -30,6 +30,7 @@ objects, and it memoizes each piece's term in a dict that the table holds.
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import NamedTuple
 
 from .terms import BLANK, IRI, LITERAL, RDF_TYPE, VARIABLE, Term, TriplePattern, interned
@@ -96,6 +97,10 @@ class ParsedQuery(NamedTuple):
     id: int
     patterns: tuple[TriplePattern, ...]
     source_line: int = 0
+
+
+# builds a parsed query from its field tuple in C, without the NamedTuple's Python __new__
+_query = partial(tuple.__new__, ParsedQuery)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -461,18 +466,20 @@ def _fast_patterns(text: str, base_prefix: str | None, table: dict):
         if not term or term.kind != VARIABLE:
             return None
     patterns = []
-    for i in range(0, len(body), 4):
-        terms = []
-        for token in body[i:i + 3]:
-            if token == "a" and len(terms) == 1:
-                term = table.setdefault(RDF_TYPE, RDF_TYPE)
-            else:  # a hit read inline saves a call per token
-                term = memo.get(token) or _token_term(token, base_prefix, table, memo)
-            if not term:
-                return None
-            terms.append(term)
+    # a memo hit read inline saves a call per token
+    for s, p, o in zip(body[0::4], body[1::4], body[2::4]):
+        s = memo.get(s) or _token_term(s, base_prefix, table, memo)
+        if not s:
+            return None
+        p = (table.setdefault(RDF_TYPE, RDF_TYPE) if p == "a"
+             else memo.get(p) or _token_term(p, base_prefix, table, memo))
+        if not p:
+            return None
+        o = memo.get(o) or _token_term(o, base_prefix, table, memo)
+        if not o:
+            return None
         try:
-            patterns.append(interned(table, TriplePattern, tuple(terms)))
+            patterns.append(interned(table, TriplePattern, (s, p, o)))
         except ValueError:  # a literal subject, or a predicate no IRI or variable
             return None
     return tuple(patterns)
@@ -513,7 +520,7 @@ def parse_query(
         if patterns is None:
             patterns = _Parser(text, base_prefix, table).parse()
         table[text] = patterns
-    return ParsedQuery(query_id, patterns, source_line)
+    return _query((query_id, patterns, source_line))
 
 
 def parse_term(text: str, base_prefix: str | None = None) -> Term:

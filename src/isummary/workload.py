@@ -365,11 +365,8 @@ def load_workload(
         elif not text.strip():
             continue  # a blank line is no record, so not the header either
         else:
-            try:
-                queries.append(
-                    parse_query(text, query_id=len(queries), source_line=line_no,
-                                base_prefix=base_prefix, intern=table)
-                )
+            try:  # positional arguments: no keyword dict per record
+                queries.append(parse_query(text, len(queries), line_no, base_prefix, table))
             except ParseError as exc:
                 reason = exc
         if reason is not None:
