@@ -10,17 +10,21 @@ base prefix.
 
 One regex cuts a text into ``(kind, value, start)`` tokens, closed by an END
 token at the end of the text, and a recursive descent parser walks them.
+The term rules are module functions of the token list (``_term_at``), which
+the parser calls for each subject, object and predicate other than ``a``.
 Loading a log passes one intern table to every ``parse_query`` call, so each
 distinct term and triple pattern is built once and each distinct accepted
-record text is parsed once.  The parser builds both by ``_Parser._interned``,
-which rejects a malformed one with a :class:`ParseError` at its token.
+record text is parsed once.  Both are built by ``_interned``, which rejects
+a malformed one with a :class:`ParseError` at its token.
 
 Most logged queries are plain ``SELECT ?v… WHERE { s p o . … }`` texts with
 whitespace between tokens, and a fast path reads those from one whitespace
 split.  It reads each piece of the split in the select list and in the
-triples with the full parser's own term reader (the one :func:`parse_term`
-runs), and a predicate ``a`` as ``rdf:type``; a piece that the reader
-rejects or does not read whole makes it give up, as does any other shape.
+triples with the one-term reader (``_read_term``, which :func:`parse_term`
+runs): the piece's tokens and the full parser's term rules, with no parser
+object built.  A predicate ``a`` reads as ``rdf:type``; a piece that the
+reader rejects or does not read whole makes it give up, as does any other
+shape.
 It never rejects: a text it gives up on goes to the recursive descent
 parser, the only source of :class:`ParseError`.  It builds its terms and
 triples through the same intern table, so both paths return the same
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .terms import BLANK, IRI, LITERAL, RDF_TYPE, VARIABLE, Term, TriplePattern, interned
 
@@ -117,6 +121,93 @@ def _byte_offset(text: str, char_pos: int) -> int:
     return len(text[:char_pos].encode("utf-8"))
 
 
+def _fail(text: str, reason: str, token) -> NoReturn:
+    raise ParseError(reason, _byte_offset(text, token[2]))
+
+
+def _interned(text: str, token, table: dict, make, fields: tuple):
+    """The table's one ``make(*fields)``; a ValueError rejects ``text`` at ``token``."""
+    try:
+        return interned(table, make, fields)
+    except ValueError as exc:
+        _fail(text, str(exc), token)
+
+
+# -- term rules: the parser's and the one-term reader's -------------------------
+
+def _term_at(text: str, tokens, pos: int, base_prefix: str, prefixes: dict,
+             table: dict) -> tuple[Term, int]:
+    """The term that the tokens at ``pos`` spell as a subject or an object,
+    interned in ``table``, and the position after it: one token, or a string
+    with its language tag or datatype.  :class:`ParseError` otherwise."""
+    tok = tokens[pos]
+    kind, value, _ = tok
+    if kind == "VAR":
+        return _interned(text, tok, table, Term, (VARIABLE, value[1:], "")), pos + 1
+    if kind == "NAME" or kind == "IRIREF":
+        if kind == "NAME" and value.upper() in _TERM_KEYWORDS:
+            _fail(text, f"unsupported construct: {value}", tok)
+        return _iri_term(text, tok, base_prefix, prefixes, table), pos + 1
+    if kind == "STRING":
+        return _literal_at(text, tokens, pos, base_prefix, prefixes, table)
+    if kind == "BLANK":
+        return _interned(text, tok, table, Term, (BLANK, value[2:], "")), pos + 1
+    if kind == "NUMBER":
+        return _interned(text, tok, table, Term, (LITERAL, value, "")), pos + 1
+    if kind == END:
+        _fail(text, "unexpected end of query", tok)
+    if kind == "OTHER":
+        _fail(text, f"unexpected character {value!r}", tok)
+    _fail(text, "expected term", tok)
+
+
+def _iri_term(text: str, tok, base_prefix: str, prefixes: dict, table: dict) -> Term:
+    """The IRI that an IRIREF or a NAME token spells: a prefixed name expands
+    its declared prefix, and a bare name goes under ``base_prefix``."""
+    value = tok[1]
+    if tok[0] == "IRIREF":
+        lexical = value[1:-1]
+    elif ":" in value:
+        prefix, _, local = value.partition(":")
+        if prefix not in prefixes:
+            _fail(text, f"unknown prefix {prefix + ':'!r}", tok)
+        lexical = prefixes[prefix] + local
+    else:
+        lexical = base_prefix + value
+    if not lexical:
+        _fail(text, "empty IRI", tok)
+    return _interned(text, tok, table, Term, (IRI, lexical, ""))
+
+
+def _literal_at(text: str, tokens, pos: int, base_prefix: str, prefixes: dict,
+                table: dict) -> tuple[Term, int]:
+    """The literal of the STRING token at ``pos`` with its ``@lang`` or
+    ``^^datatype``, if any, and the position after it."""
+    tok = tokens[pos]
+
+    # the STRING token pairs every backslash with the character after it
+    def escape(match):
+        if match.group(1) not in _STRING_ESCAPES:
+            _fail(text, "bad string escape", tok)
+        return _STRING_ESCAPES[match.group(1)]
+
+    lexical = _ESCAPE_RE.sub(escape, tok[1][1:-1])
+    tag = ""
+    suffix = tokens[pos + 1]
+    if suffix[0] == "LANGTAG":
+        tag = suffix[1]
+        pos += 1
+    elif suffix[0] == "DTSEP":
+        dt_tok = tokens[pos + 2]
+        if dt_tok[0] == END:
+            _fail(text, "unexpected end of query", dt_tok)
+        if not (dt_tok[0] == "IRIREF" or dt_tok[0] == "NAME" and ":" in dt_tok[1]):
+            _fail(text, "expected datatype IRI", dt_tok)
+        tag = _iri_term(text, dt_tok, base_prefix, prefixes, table).lexical
+        pos += 2
+    return _interned(text, tok, table, Term, (LITERAL, lexical, tag)), pos + 1
+
+
 class _Parser:
     """Recursive descent over the token list; ``pos`` indexes the next token,
     and the END sentinel stops every walk at the end of the text."""
@@ -130,19 +221,10 @@ class _Parser:
         self.table = {} if intern is None else intern
         self.depth = 0
 
-    def _interned(self, tok, make, fields: tuple):
-        """The table's one ``make(*fields)``; a ValueError rejects the query at ``tok``."""
-        try:
-            return interned(self.table, make, fields)
-        except ValueError as exc:
-            self._error(str(exc), tok)
-
     # -- token plumbing ----------------------------------------------------
 
     def _error(self, reason, token=None):
-        if token is None:
-            token = self._peek()
-        raise ParseError(reason, _byte_offset(self.text, token[2]))
+        _fail(self.text, reason, self._peek() if token is None else token)
 
     def _peek(self):
         return self.tokens[self.pos]
@@ -287,14 +369,15 @@ class _Parser:
         subject = self._parse_term()
         if unclosed:
             self._error("expected '.'", subj_tok)
+        text, table = self.text, self.table
         while True:
-            predicate = self._parse_term(predicate=True)
-            patterns.append(self._interned(
-                subj_tok, TriplePattern, (subject, predicate, self._parse_term())))
+            predicate = self._parse_predicate()
+            patterns.append(_interned(
+                text, subj_tok, table, TriplePattern, (subject, predicate, self._parse_term())))
             while self._at_punct(","):
                 self._advance()
-                patterns.append(self._interned(
-                    subj_tok, TriplePattern, (subject, predicate, self._parse_term())))
+                patterns.append(_interned(
+                    text, subj_tok, table, TriplePattern, (subject, predicate, self._parse_term())))
             if self._at_punct(";"):
                 self._advance()
                 kind, value, _ = self._peek()
@@ -304,87 +387,29 @@ class _Parser:
                 continue
             break
 
-    def _parse_term(self, predicate: bool = False) -> Term:
-        """The term the next token spells, in any position.  A predicate is a
-        variable, an IRI or ``a`` (the table's one ``rdf:type`` object,
+    def _parse_term(self) -> Term:
+        """The subject or object term at the next token (see `_term_at`)."""
+        term, self.pos = _term_at(self.text, self.tokens, self.pos, self.base_prefix,
+                                  self.prefixes, self.table)
+        return term
+
+    def _parse_predicate(self) -> Term:
+        """A variable, an IRI or ``a`` (the table's one ``rdf:type`` object,
         whichever spelling came first), with no path operator around it."""
         tok = self._peek()
         kind, value, _ = tok
-        if predicate:
-            if kind == "PATHOP" or (kind == "PUNCT" and value in "(*"):
-                self._error("property paths are not supported", tok)
-            if kind not in ("VAR", "IRIREF", "NAME"):
-                self._error("expected predicate", tok)
-        self._advance()
-        if kind == "VAR":
-            term = self._interned(tok, Term, (VARIABLE, value[1:], ""))
-        elif kind == "NAME":
-            if predicate and value == "a":
-                term = self.table.setdefault(RDF_TYPE, RDF_TYPE)
-            elif value.upper() in _TERM_KEYWORDS:
-                self._error(f"unsupported construct: {value}", tok)
-            else:
-                term = self._term_from_name(tok)
-        elif kind == "IRIREF":
-            term = self._iri_from_ref(tok)
-        elif kind == "STRING":
-            term = self._finish_literal(tok)
-        elif kind == "BLANK":
-            term = self._interned(tok, Term, (BLANK, value[2:], ""))
-        elif kind == "NUMBER":
-            term = self._interned(tok, Term, (LITERAL, value, ""))
-        elif kind == "OTHER":
-            self._error(f"unexpected character {value!r}", tok)
+        if kind == "PATHOP" or (kind == "PUNCT" and value in "(*"):
+            self._error("property paths are not supported", tok)
+        if kind not in ("VAR", "IRIREF", "NAME"):
+            self._error("expected predicate", tok)
+        if value == "a":
+            self.pos += 1
+            term = self.table.setdefault(RDF_TYPE, RDF_TYPE)
         else:
-            self._error("expected term", tok)
-        if predicate and (self._peek()[0] == "PATHOP" or self._at_punct("*")):
+            term = self._parse_term()
+        if self._peek()[0] == "PATHOP" or self._at_punct("*"):
             self._error("property paths are not supported")
         return term
-
-    def _iri_from_ref(self, tok) -> Term:
-        inner = tok[1][1:-1]
-        if not inner:
-            self._error("empty IRI", tok)
-        return self._interned(tok, Term, (IRI, inner, ""))
-
-    def _term_from_name(self, tok) -> Term:
-        value = tok[1]
-        if ":" in value:
-            prefix, _, local = value.partition(":")
-            if prefix not in self.prefixes:
-                self._error(f"unknown prefix {prefix + ':'!r}", tok)
-            expanded = self.prefixes[prefix] + local
-            if not expanded:
-                self._error("empty IRI", tok)
-            return self._interned(tok, Term, (IRI, expanded, ""))
-        return self._interned(tok, Term, (IRI, self.base_prefix + value, ""))
-
-    def _finish_literal(self, tok) -> Term:
-        lexical = self._decode_string(tok)
-        kind, value, _ = self._peek()
-        if kind == "LANGTAG":
-            self._advance()
-            return self._interned(tok, Term, (LITERAL, lexical, value))
-        if kind == "DTSEP":
-            self._advance()
-            dt_tok = self._advance()
-            if dt_tok[0] == "IRIREF":
-                dt = self._iri_from_ref(dt_tok)
-            elif dt_tok[0] == "NAME" and ":" in dt_tok[1]:
-                dt = self._term_from_name(dt_tok)
-            else:
-                self._error("expected datatype IRI", dt_tok)
-            return self._interned(tok, Term, (LITERAL, lexical, dt.lexical))
-        return self._interned(tok, Term, (LITERAL, lexical, ""))
-
-    def _decode_string(self, tok) -> str:
-        # the STRING token pairs every backslash with the character after it
-        def escape(match):
-            if match.group(1) not in _STRING_ESCAPES:
-                self._error("bad string escape", tok)
-            return _STRING_ESCAPES[match.group(1)]
-
-        return _ESCAPE_RE.sub(escape, tok[1][1:-1])
 
     def _skip_filter(self):
         if self._at_keyword("EXISTS", "NOT"):
@@ -421,12 +446,13 @@ _TOKEN_MEMO = object()
 
 
 def _read_term(text: str, base_prefix: str | None, table: dict) -> Term:
-    """The term that ``text`` spells whole, read by the full parser's term
-    reader and interned in ``table``; :class:`ParseError` otherwise."""
-    parser = _Parser(text, base_prefix, table)
-    term = parser._parse_term()
-    if parser._peek()[0] != END:
-        parser._error("trailing content after term")
+    """The term that ``text`` spells whole, with no PREFIX declared, read by
+    the full parser's term rules and interned in ``table``;
+    :class:`ParseError` otherwise."""
+    tokens = _tokenize(text)
+    term, pos = _term_at(text, tokens, 0, base_prefix or "", {}, table)
+    if tokens[pos][0] != END:
+        _fail(text, "trailing content after term", tokens[pos])
     return term
 
 

@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from isummary.parser import parse_query
+from isummary.parser import _ESCAPE_RE, _STRING_ESCAPES, _TERM_KEYWORDS, END, _Parser, parse_query
 from isummary.query_graph import BACKWARD, FORWARD, PathSignature, Step
 from isummary.synth import write_queries
-from isummary.terms import VARIABLE, Term
+from isummary.terms import BLANK, IRI, LITERAL, VARIABLE, Term, interned
 from isummary.workload import WorkloadStore
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -171,6 +171,100 @@ def oracle_shortest_path(graph, x, y):
             if dist.get(hop[2]) == dist[node] - 1:
                 stack.append((hop[2], hops + (hop,)))
     return min(signatures, key=signature_key)
+
+
+class _TermRuleParser(_Parser):
+    """Oracle: the full parser's term rules as they were before they became
+    module functions that work on the token list (the subject and object
+    part; the one-term reader never reads a predicate).  Each rule is a
+    method that steps through the parser's own tokens."""
+
+    def _interned(self, tok, make, fields: tuple):
+        try:
+            return interned(self.table, make, fields)
+        except ValueError as exc:
+            self._error(str(exc), tok)
+
+    def _parse_term(self) -> Term:
+        tok = self._peek()
+        kind, value, _ = tok
+        self._advance()
+        if kind == "VAR":
+            term = self._interned(tok, Term, (VARIABLE, value[1:], ""))
+        elif kind == "NAME":
+            if value.upper() in _TERM_KEYWORDS:
+                self._error(f"unsupported construct: {value}", tok)
+            else:
+                term = self._term_from_name(tok)
+        elif kind == "IRIREF":
+            term = self._iri_from_ref(tok)
+        elif kind == "STRING":
+            term = self._finish_literal(tok)
+        elif kind == "BLANK":
+            term = self._interned(tok, Term, (BLANK, value[2:], ""))
+        elif kind == "NUMBER":
+            term = self._interned(tok, Term, (LITERAL, value, ""))
+        elif kind == "OTHER":
+            self._error(f"unexpected character {value!r}", tok)
+        else:
+            self._error("expected term", tok)
+        return term
+
+    def _iri_from_ref(self, tok) -> Term:
+        inner = tok[1][1:-1]
+        if not inner:
+            self._error("empty IRI", tok)
+        return self._interned(tok, Term, (IRI, inner, ""))
+
+    def _term_from_name(self, tok) -> Term:
+        value = tok[1]
+        if ":" in value:
+            prefix, _, local = value.partition(":")
+            if prefix not in self.prefixes:
+                self._error(f"unknown prefix {prefix + ':'!r}", tok)
+            expanded = self.prefixes[prefix] + local
+            if not expanded:
+                self._error("empty IRI", tok)
+            return self._interned(tok, Term, (IRI, expanded, ""))
+        return self._interned(tok, Term, (IRI, self.base_prefix + value, ""))
+
+    def _finish_literal(self, tok) -> Term:
+        lexical = self._decode_string(tok)
+        kind, value, _ = self._peek()
+        if kind == "LANGTAG":
+            self._advance()
+            return self._interned(tok, Term, (LITERAL, lexical, value))
+        if kind == "DTSEP":
+            self._advance()
+            dt_tok = self._advance()
+            if dt_tok[0] == "IRIREF":
+                dt = self._iri_from_ref(dt_tok)
+            elif dt_tok[0] == "NAME" and ":" in dt_tok[1]:
+                dt = self._term_from_name(dt_tok)
+            else:
+                self._error("expected datatype IRI", dt_tok)
+            return self._interned(tok, Term, (LITERAL, lexical, dt.lexical))
+        return self._interned(tok, Term, (LITERAL, lexical, ""))
+
+    def _decode_string(self, tok) -> str:
+        # the STRING token pairs every backslash with the character after it
+        def escape(match):
+            if match.group(1) not in _STRING_ESCAPES:
+                self._error("bad string escape", tok)
+            return _STRING_ESCAPES[match.group(1)]
+
+        return _ESCAPE_RE.sub(escape, tok[1][1:-1])
+
+
+def oracle_read_term(text, base_prefix, table):
+    """Oracle: the term that ``text`` spells whole, read by a full parser
+    built for it (`_TermRuleParser`) and interned in ``table``;
+    ``ParseError`` otherwise."""
+    parser = _TermRuleParser(text, base_prefix, table)
+    term = parser._parse_term()
+    if parser._peek()[0] != END:
+        parser._error("trailing content after term")
+    return term
 
 
 @pytest.fixture(scope="session")

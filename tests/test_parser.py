@@ -9,13 +9,16 @@ from isummary.parser import (
     END,
     ParseError,
     _fast_patterns,
+    _TERM_KEYWORDS,
     _Parser,
+    _read_term,
     _tokenize,
     parse_query,
     parse_term,
 )
 from isummary.terms import RDF_TYPE, Term, TriplePattern, iri, literal, variable
 
+from conftest import oracle_read_term
 from test_acceptance import _conformance_corpus
 
 
@@ -285,6 +288,66 @@ def test_parse_term_forms():
     assert parse_term("Person", base_prefix="http://ex/") == iri("http://ex/Person")
     with pytest.raises(ParseError):
         parse_term("Person extra")
+
+
+# -- the one-term reader against its oracle ------------------------------------
+
+def _any_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda lower: "".join(c.lower() if flip else c for c, flip in zip(word, lower)))
+
+
+# the piece's first token; each alphabet also holds characters the token excludes
+_term_heads = st.one_of(
+    st.text(alphabet='ab:/#.-\u00a0\u2003 "<>{}|^`\\', max_size=6).map(lambda body: f"<{body}>"),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_\-]{0,5}", fullmatch=True),
+    st.from_regex(r"([A-Za-z_][A-Za-z0-9_]{0,3})?:[A-Za-z0-9_\-]{0,4}", fullmatch=True),
+    st.sampled_from(sorted(_TERM_KEYWORDS) + ["a", "DISTINCT", "LIMIT", "EXISTS"]).flatmap(_any_case),
+    st.from_regex(r"[?$][A-Za-z0-9_]{0,4}", fullmatch=True),
+    st.from_regex(r"_:?[A-Za-z0-9_\-]{0,4}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,3}(\.[0-9]{0,2})?", fullmatch=True),
+    st.builds(lambda quote, body, close, suffix: quote + body + (quote if close else "") + suffix,
+              st.sampled_from('"\''),
+              st.lists(st.sampled_from(("a", "b", " ", "a", "b", "\\n", '\\"', "\\'", "\\q",
+                                        '"', "'", "\n")), max_size=5).map("".join),
+              st.booleans(), st.sampled_from(("", "", "@en", "@en-GB", "^^<http://dt>",
+                                              "^^<a\u00a0b>", "^^xsd:int", "^^<>", "^^a"))),
+    st.sampled_from(("", " ", "*", "{", "(", "@en", "^^", "/", "|", "%", "\\")),
+)
+# what may follow it: a language tag, a datatype, glued punctuation, more tokens
+_term_tails = st.one_of(st.just(""), st.lists(st.sampled_from((
+    "@en", "@en-GB", "@", "^^", "^^<http://dt>", "^^<>", "^^xsd:int", "^^ex:", "^^int",
+    "^^?x", ".", ";", ",", "}", ")", " ", "\t", " x", "?o", "<p>", '"s"',
+)), min_size=1, max_size=2).map("".join))
+
+
+@settings(max_examples=500)
+@example(["<a>.", "?x;", "_:b,", '"v"@en.', '"5"^^<http://dt>;', '"5"^^xsd:int'], None)
+@example(["Person", "<http://a\u00a0b>", "<a b>", "Select", "uNiOn", "a", " ?x \n", ""],
+         "http://ex.org/")
+@example(['"a\\qb"', '"a\\"b"', "'it\\'s'", '"x"^^', '"x"^^"y"', "$1", "_:", "3.", "e:"],
+         "http://ex.org/>")
+@given(st.lists(st.builds(lambda lead, head, tail: lead + head + tail,
+                          st.sampled_from(("",) * 6 + (" ", "\n")), _term_heads, _term_tails),
+                min_size=1, max_size=8),
+       st.sampled_from((None, "", "http://ex.org/", "http://ex.org/>")))
+def test_term_reader_matches_the_per_token_parser_oracle(pieces, base_prefix):
+    """`_read_term` reads a piece as `oracle_read_term` does, a full parser
+    built per piece: the same interned object from a shared table, or a
+    ParseError with the same reason and offset."""
+
+    def outcome(read):
+        try:
+            return read()
+        except ParseError as exc:
+            return exc.reason, exc.offset
+
+    shared = {}
+    for piece in pieces:
+        expected = outcome(lambda: oracle_read_term(piece, base_prefix, shared))
+        got = outcome(lambda: _read_term(piece, base_prefix, shared))
+        assert got is expected if isinstance(expected, Term) else got == expected
+        assert outcome(lambda: parse_term(piece, base_prefix)) == expected
 
 
 # -- round-trip property -----------------------------------------------------
