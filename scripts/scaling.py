@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Measure how the load and one summary request grow with the log.
 
-The paper claims summary time linear in the number of queries.  The work
-counts are linear by construction; this script shows whether the time per
-unit of work stays flat too.  At each size it synthesizes a log
+The paper claims summary time linear in the number of queries.  The tests
+hold the request's work counts to linear growth; this script shows whether
+the time per unit of work stays flat too.  At each size it synthesizes a log
 (``SyntheticSpec(n_queries=N, rng_seed=1)``, as ``isummary synth
 --n-queries N`` writes it) and measures it in a fresh process, one size at
 a time:
@@ -13,9 +13,9 @@ a time:
   the requests;
 * the work of a cold ``Class0`` k=10 request (criterion 5's request):
   ``relevant`` ids, ``shortest_path`` calls and ``build_graph`` calls;
-* ``warm_ms``: the best time of the same request over ``--repeats`` warm
-  runs, each on a fresh full view of the store, and ``us_per_call``: that
-  time per ``shortest_path`` call of the request.
+* ``warm_ms``: the best time of the same request over five warm runs,
+  each on a fresh full view of the store, and ``us_per_call``: that time
+  per ``shortest_path`` call of the request.
 
 The collector is frozen after the load, so a warm request does not pay
 for collections over the store.  Nothing is asserted and the numbers
@@ -46,6 +46,7 @@ from isummary.terms import iri
 COLUMNS = ("records", "load_s", "max_rss_mb", "relevant", "shortest_path", "build_graph",
            "warm_ms", "us_per_call")
 REQUEST = SummaryRequest((iri("Class0"),), 10)
+WARM_RUNS = 5
 
 
 def _counted(tally, name, fn):
@@ -55,7 +56,7 @@ def _counted(tally, name, fn):
     return counted
 
 
-def measure(path: str, repeats: int) -> dict:
+def measure(path: str) -> dict:
     """One size's row; run in a process of its own, so the max RSS is its own."""
     start = time.perf_counter()
     store = workload.load_workload(path)
@@ -70,7 +71,7 @@ def measure(path: str, repeats: int) -> dict:
     finally:
         summarizer.shortest_path, workload.build_graph = shortest_path, build_graph
     warm = []
-    for _ in range(repeats):
+    for _ in range(WARM_RUNS):
         view = store.subset(store.ids())
         start = time.perf_counter()
         summarize(view, REQUEST)
@@ -98,11 +99,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=_sizes, default=[100_000, 300_000],
                         help="comma-separated record counts (default 100000,300000)")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="warm runs of the request per size (default 5)")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
 
     print(" ".join(COLUMNS), flush=True)
     spawn = multiprocessing.get_context("spawn")
@@ -112,7 +109,7 @@ def main(argv=None) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 write_queries(SyntheticSpec(n_queries=size, rng_seed=1), fh)
             with concurrent.futures.ProcessPoolExecutor(1, mp_context=spawn) as pool:
-                row = pool.submit(measure, str(path), args.repeats).result()
+                row = pool.submit(measure, str(path)).result()
             print(" ".join(str(row[name]) for name in COLUMNS), flush=True)
             path.unlink()
     return 0

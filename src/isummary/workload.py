@@ -345,6 +345,10 @@ def load_workload(
     input a non-blank row with no query in its query column is a rejected
     record, and the first non-blank row is treated as a header and skipped
     silently if it fails to parse or has no query.
+
+    Each record with a query text is one call of this module's
+    ``parse_query``, repeats and rejections included, all with one intern
+    table; the store's constructor then builds the term index.
     """
     check_format(format, tsv_column)
     path = Path(path)
