@@ -32,6 +32,7 @@ from .summarizer import (
     Summary,
     SummaryRequest,
     SummaryWarning,
+    SummaryWork,
     link,
     resolve_variables,
     select_top_nodes,

@@ -22,6 +22,7 @@ from .summarizer import (
     NoRelevantQueries,
     Summary,
     SummaryRequest,
+    SummaryWork,
     node_frequencies,
     summarize,
 )
@@ -212,20 +213,22 @@ def _seed_pool(order: list[Term], holders: list[Sequence[int]],
     return _SeedPool(order, [i for i, ids in enumerate(holders) if all_test(ids)])
 
 
-def _sample_seed_terms(pool: Sequence[Term], test: WorkloadStore, count: int,
-                       rng: XorShift64Star) -> list[Term]:
+def _sample_seed_terms(pool: Sequence[Term], store: WorkloadStore, test_ids: set[int],
+                       count: int, rng: XorShift64Star) -> list[Term]:
     """At most ``count`` seed terms drawn from ``pool`` (see ``_seed_pool``)
-    that occur in test queries."""
+    that occur in test queries: ``test_ids`` are the test part's ids among
+    ``store``'s, and a candidate's check stops at its first test holder."""
     if not pool:
         return []
     chosen: list[Term] = []
     picked = set()
     attempts = 0
     limit = 50 * count
+    term_index = store.term_index
     while len(chosen) < count and attempts < limit:
         attempts += 1
         candidate = pool[rng.randrange(len(pool))]
-        if candidate in picked or not test.filter((candidate,)):
+        if candidate in picked or test_ids.isdisjoint(term_index.get(candidate, ())):
             continue
         picked.add(candidate)
         chosen.append(candidate)
@@ -251,6 +254,12 @@ def evaluate(
     summaries, a fold costs its test part: ``store.split`` makes both views
     from the test ids, and ``_seed_pool`` reads each node term's holders
     (``_node_holders``), listed once per call from the store's postings.
+
+    A seed's cells share one ``SummaryWork``: its relevant set, node counts
+    and random pool are built once, and its greedy cells read prefixes of
+    one run to the largest k, so the order of ``k_values`` and
+    ``strategies`` changes no row.  Each cell is still one ``summarize``
+    and one ``coverage`` call.
     """
     if not k_values:
         raise ValueError("k_values must be non-empty")
@@ -271,7 +280,7 @@ def evaluate(
             raise InsufficientWorkload(f"fold {fold} has an empty train or test part")
         test_ids = set(ids[cut:])
         train, test = store.split(test_ids)
-        seeds = _sample_seed_terms(_seed_pool(order, holders, test_ids), test,
+        seeds = _sample_seed_terms(_seed_pool(order, holders, test_ids), store, test_ids,
                                    config.sample_seeds, rng)
         if len(seeds) < config.sample_seeds:
             warnings.append(f"{SEED_SAMPLING_SHORTFALL}: drew {len(seeds)} of"
@@ -279,6 +288,7 @@ def evaluate(
 
         fold_rows: list[EvalRow] = []
         for seed in seeds:
+            work = SummaryWork(train, (seed,))
             for k in k_values:
                 for strategy in strategies:
                     request = SummaryRequest(
@@ -286,7 +296,7 @@ def evaluate(
                         random_seed=_derive_seed(config.rng_seed, fold, seed, k, strategy),
                     )
                     try:
-                        summary = summarize(train, request)
+                        summary = summarize(train, request, work)
                     except NoRelevantQueries:
                         warnings.append(
                             f"{SKIPPED_CELL}: fold {fold} seed {seed.to_sparql()}"

@@ -119,13 +119,17 @@ def select_top_nodes(
     count: int,
     exclude: Iterable[Term] = (),
 ) -> list[tuple[Term, int]]:
-    """Top nodes by (frequency desc, term asc); may return fewer than asked.
+    """Top nodes by (frequency desc, term asc); may return fewer than asked."""
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    return _top_nodes(node_frequencies(store, relevant_ids, exclude), count)
+
+
+def _top_nodes(freq: Counter, count: int) -> list[tuple[Term, int]]:
+    """The first ``count`` rows of ``freq`` in ledger order.
 
     Only the terms whose frequency reaches the count-th largest are sorted.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    freq = node_frequencies(store, relevant_ids, exclude)
     if count == 0 or not freq:
         return []
     cut = heapq.nlargest(count, freq.values())[-1]
@@ -298,34 +302,93 @@ def _relevant_ids(store: WorkloadStore, seeds: Sequence[Term]):
     return ids, warnings
 
 
-def _greedy_summary(store, request, relevant, budget, triples, blanks, warnings):
-    """Attach the other seeds, then the ``budget`` most frequent nodes, each by
-    its ``link`` path; returns the nodes' ledger rows."""
-    visited: list[Term] = [request.seeds[0]]
+class SummaryWork:
+    """What the summaries of one store and seed tuple share, built as they
+    first need it: the relevant ids and their warnings, the node counts
+    without the seeds, the random strategy's sorted pool, and one greedy run.
 
-    def attach(term):
-        signature = link(store, relevant, term, visited)
+    Greedy summaries are prefix-nested in the budget.  So the run attaches
+    the other seeds, then the top nodes in ledger order, and records after
+    each attach how many triples and warnings it holds; a greedy request reads
+    the prefix its budget selects, extending the run first when the budget is
+    larger than any before.  When no query is relevant nothing is kept, and
+    every call raises ``NoRelevantQueries``.
+    """
+
+    __slots__ = ("store", "seeds", "_relevant", "_counts", "_pool", "_visited",
+                 "_triples", "_warnings", "_blanks", "_rows", "_ends")
+
+    def __init__(self, store: WorkloadStore, seeds: Sequence[Term]):
+        self.store = store
+        self.seeds = tuple(seeds)
+        self._relevant: tuple[set[int], list[SummaryWarning]] | None = None
+        self._counts: Counter | None = None
+        self._pool: list[Term] | None = None
+        # the greedy run, started by its first request
+        self._visited = [self.seeds[0]]
+        self._triples: dict[TriplePattern, None] = {}
+        self._warnings: list[SummaryWarning] = []
+        self._blanks: Iterator[Term] = _fresh_blanks(store)
+        self._rows: list[tuple[Term, int]] = []
+        # _ends[i]: the run's (triple count, warning count) after i top nodes
+        self._ends: list[tuple[int, int]] = []
+
+    def relevant(self) -> tuple[set[int], list[SummaryWarning]]:
+        """The relevant ids and their warnings (``_relevant_ids``)."""
+        if self._relevant is None:
+            self._relevant = _relevant_ids(self.store, self.seeds)
+        return self._relevant
+
+    def counts(self) -> Counter:
+        """The relevant queries' node frequencies, without the seeds."""
+        if self._counts is None:
+            self._counts = node_frequencies(self.store, self.relevant()[0], exclude=self.seeds)
+        return self._counts
+
+    def pool(self) -> list[Term]:
+        """The counted nodes in term order, which the random strategy samples."""
+        if self._pool is None:
+            self._pool = sorted(self.counts())
+        return self._pool
+
+    def _attach(self, term: Term) -> None:
+        """Link ``term`` to the run's visited nodes by its ``link`` path."""
+        signature = link(self.store, self.relevant()[0], term, self._visited)
         if signature is None:
-            warnings.append(SummaryWarning(
+            self._warnings.append(SummaryWarning(
                 ISOLATED_NODE,
                 f"no relevant query links {term.to_sparql()} to the summary",
                 term,
             ))
         else:
-            resolved, extra = resolve_variables(signature, store, blanks)
-            triples.update(dict.fromkeys(resolved))
-            warnings.extend(extra)
-        visited.append(term)
+            resolved, extra = resolve_variables(signature, self.store, self._blanks)
+            self._triples.update(dict.fromkeys(resolved))
+            self._warnings.extend(extra)
+        self._visited.append(term)
 
-    for seed in request.seeds[1:]:
-        attach(seed)
-
-    top = select_top_nodes(store, relevant, budget, exclude=request.seeds)
-    if len(top) < budget:
-        warnings.append(_budget_shortfall(len(top), budget))
-    for term, _ in top:
-        attach(term)
-    return top
+    def greedy(self, budget: int, warnings: list[SummaryWarning]) -> tuple:
+        """The triples and the ledger rows past the seeds of the greedy
+        summary for ``budget`` top nodes: the other seeds, then the top nodes,
+        each attached by its ``link`` path.  Appends the summary's warnings
+        to ``warnings``, with a shortfall at its place for this budget.
+        """
+        if not self._ends:
+            for seed in self.seeds[1:]:
+                self._attach(seed)
+            self._ends.append((len(self._triples), len(self._warnings)))
+        if len(self._rows) < min(budget, len(self.counts())):
+            for row in _top_nodes(self.counts(), budget)[len(self._rows):]:
+                self._attach(row[0])
+                self._rows.append(row)
+                self._ends.append((len(self._triples), len(self._warnings)))
+        n = min(budget, len(self._rows))
+        seeds_end = self._ends[0][1]
+        triple_end, warning_end = self._ends[n]
+        warnings.extend(self._warnings[:seeds_end])
+        if n < budget:
+            warnings.append(_budget_shortfall(n, budget))
+        warnings.extend(self._warnings[seeds_end:warning_end])
+        return tuple(itertools.islice(self._triples, triple_end)), self._rows[:n]
 
 
 def _name_blind_key(edge: TriplePattern) -> tuple:
@@ -340,16 +403,22 @@ def _incident_edges(store: WorkloadStore, relevant: set[int], term: Term) -> set
             for e in store.graph(qid).edges if term in (e.subject, e.object)}
 
 
-def _random_summary(store, request, relevant, budget, triples, blanks, warnings):
-    """Name-blind draws from the pinned stream: ``budget`` nodes, then one edge
-    at each from ``_incident_edges``; returns the nodes' ledger rows.
-    ``relevant`` is a set of member ids of ``store``."""
-    rng = XorShift64Star(request.random_seed)
-    freq = node_frequencies(store, relevant, exclude=request.seeds)
-    pool = sorted(freq)
+def _random_summary(work: SummaryWork, random_seed: int, budget: int,
+                   warnings: list[SummaryWarning]) -> tuple:
+    """Name-blind draws from the pinned stream: ``budget`` nodes of ``work``'s
+    pool, then one edge at each from ``_incident_edges``; returns the triples
+    and the nodes' ledger rows."""
+    store = work.store
+    relevant = work.relevant()[0]
+    freq = work.counts()
+    pool = work.pool()
+    rng = XorShift64Star(random_seed)
     chosen = rng.sample(pool, min(budget, len(pool)))
     if len(chosen) < budget:
         warnings.append(_budget_shortfall(len(chosen), budget))
+    # an ordered set: each triple once, in first-seen order
+    triples: dict[TriplePattern, None] = {}
+    blanks = _fresh_blanks(store)
 
     # ledger stays sorted by weight so the frequency column is non-increasing
     selected = sorted(((t, freq[t]) for t in chosen), key=_ledger_order)
@@ -389,23 +458,34 @@ def _random_summary(store, request, relevant, budget, triples, blanks, warnings)
 
         triples[TriplePattern(
             ground(edge.subject, "subject"), edge.predicate, ground(edge.object, "object"))] = None
-    return selected
+    return tuple(triples), selected
 
 
-def summarize(store: WorkloadStore, request: SummaryRequest) -> Summary:
+def summarize(store: WorkloadStore, request: SummaryRequest,
+              work: SummaryWork | None = None) -> Summary:
     """Build a personalized summary of ``store`` for the given request.
 
     Deterministic for a fixed store and request; the random strategy is a
-    pure function of its ``random_seed``.
+    pure function of its ``random_seed``.  ``work`` is an optional
+    ``SummaryWork(store, request.seeds)`` that several requests share (the
+    cells of one seed across budgets and strategies): each summary equals
+    the one made without it, and a greedy request costs only the attaches
+    its budget adds to the largest before.  Without it, each call makes its
+    own.  A work object of another store or seed tuple raises ``ValueError``.
     """
+    if work is None:
+        work = SummaryWork(store, request.seeds)
+    elif work.store is not store or work.seeds != request.seeds:
+        raise ValueError("the work object belongs to another store or seed tuple")
     if not len(store):
         raise NoRelevantQueries("the workload store is empty")
-    relevant, warnings = _relevant_ids(store, request.seeds)
-    # an ordered set: each triple once, in first-seen order
-    triples: dict[TriplePattern, None] = {}
-    strategy = _greedy_summary if request.strategy == ISUMMARY else _random_summary
-    rows = strategy(store, request, relevant, request.k - len(request.seeds),
-                    triples, _fresh_blanks(store), warnings)
+    relevant, found = work.relevant()
+    warnings = list(found)
+    budget = request.k - len(request.seeds)
+    if request.strategy == ISUMMARY:
+        triples, rows = work.greedy(budget, warnings)
+    else:
+        triples, rows = _random_summary(work, request.random_seed, budget, warnings)
     nodes = [(seed, len(relevant)) for seed in request.seeds] + rows
 
     # provenance for concrete endpoints that ride in on paths or sampled edges
@@ -422,7 +502,7 @@ def summarize(store: WorkloadStore, request: SummaryRequest) -> Summary:
                 ))
 
     return Summary(
-        triples=tuple(triples),
+        triples=triples,
         nodes=tuple(nodes),
         warnings=tuple(warnings),
         seeds=request.seeds,

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 from collections import Counter
 
 import pytest
@@ -194,7 +195,8 @@ def test_sampled_seeds_occur_in_test_part():
     assert list(pool) == [iri("Lab"), PERSON]
     for rng_seed in range(20):
         # a shortfall: evaluate warns for it
-        assert _sample_seed_terms(pool, test, 2, XorShift64Star(rng_seed)) == [PERSON]
+        assert (_sample_seed_terms(pool, store, set(test.ids()), 2, XorShift64Star(rng_seed))
+                == [PERSON])
 
 
 # metamorphic logs, where "p" is also an object: a predicate in one query, a node in another
@@ -246,6 +248,19 @@ def _list_pool(counts, order, test):
     return [t for t in order if counts[t] > in_test(t, 0)]
 
 
+def _filtered_draws(pool, test, count, rng):
+    """Oracle: the seed draws as each fold once made them, listing each
+    candidate's test holders with ``test.filter``."""
+    chosen = []
+    for _ in range(50 * count):
+        if len(chosen) == count or not pool:
+            break
+        candidate = pool[rng.randrange(len(pool))]
+        if candidate not in chosen and test.filter((candidate,)):
+            chosen.append(candidate)
+    return chosen
+
+
 # sort order of the node terms: _:b, then the IRIs A B C p, then the literals 7 "l" "l"@en
 @settings(max_examples=300, deadline=None)
 @given(log=_pool_logs, test_ids=st.sets(st.integers(min_value=0, max_value=7)))
@@ -271,8 +286,8 @@ def test_seed_pool_draws_match_list_oracle(log, test_ids):
             pool[bound]
     for rng_seed in range(31):
         rng, oracle_rng = XorShift64Star(rng_seed), XorShift64Star(rng_seed)
-        assert (_sample_seed_terms(pool, test, 3, rng)
-                == _sample_seed_terms(expected, test, 3, oracle_rng))
+        assert (_sample_seed_terms(pool, store, set(test.ids()), 3, rng)
+                == _filtered_draws(expected, test, 3, oracle_rng))
         assert rng.next_u64() == oracle_rng.next_u64()
 
 
@@ -369,6 +384,24 @@ def test_repeated_evaluate_adds_no_slot_count_key(tmp_path):
     keys = set(store._slot_counts)
     evaluate(store, *args)
     assert set(store._slot_counts) == keys
+
+
+def test_evaluate_ignores_the_order_of_budgets_and_strategies(tmp_path):
+    # a seed's cells share one greedy run, which a budget may extend or cut
+    path = tmp_path / "synth.txt"
+    generate_synthetic(SyntheticSpec(n_queries=400, rng_seed=2), path)
+    store = load_workload(path)
+    config = CoverageConfig(folds=3, sample_seeds=4, rng_seed=9)
+    ordered = evaluate(store, config, [2, 5, 10], ["isummary", "random"])
+    shuffled = evaluate(store, config, [10, 2, 5], ["random", "isummary"])
+    assert len(ordered.rows) == 3 * 4 * 3 * 2
+    assert shuffled.rows == ordered.rows
+    assert Counter(shuffled.warnings) == Counter(ordered.warnings)
+    assert len(shuffled.fold_stats.fold_means) == len(ordered.fold_stats.fold_means)
+    for a, b in zip(shuffled.fold_stats.fold_means, ordered.fold_stats.fold_means):
+        assert math.isclose(a, b)
+    assert math.isclose(shuffled.fold_stats.mean, ordered.fold_stats.mean)
+    assert math.isclose(shuffled.fold_stats.std, ordered.fold_stats.std, abs_tol=1e-12)
 
 
 def test_evaluate_rng_seed_changes_folds():

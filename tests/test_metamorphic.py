@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from isummary.coverage import CoverageConfig, InsufficientWorkload, evaluate, write_csv
 from isummary.summarizer import (
-    BUDGET_SHORTFALL, OFF_LEDGER_RESOURCE, NoRelevantQueries, SummaryRequest, summarize,
-    to_json, to_ntriples,
+    BUDGET_SHORTFALL, OFF_LEDGER_RESOURCE, NoRelevantQueries, SummaryRequest, SummaryWork,
+    summarize, to_json, to_ntriples,
 )
 from isummary.terms import blank, iri, literal
 
@@ -239,3 +239,40 @@ def test_greedy_summaries_are_prefix_nested_in_k_on_university_log():
     for seeds in ([iri("Person")], [iri("Person"), iri("Organization")]):
         for k in (2, 3, 4):
             _check_budget_nesting(UNIVERSITY_LOG, seeds, k, 6)
+
+
+# -- one work object across requests --------------------------------------------
+
+# budgets from a narrow range, so a sequence goes up, down and repeats itself
+_work_requests = st.lists(
+    st.tuples(st.integers(min_value=2, max_value=7), st.sampled_from(["isummary", "random"]),
+              st.integers(min_value=0, max_value=2**32)),
+    min_size=1, max_size=10,
+)
+
+
+@settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(log=_logs, seeds=_requests.map(lambda request: tuple(request[0])),
+       requests=_work_requests)
+# two seeds that share no query: the per-seed union fallback
+@example(log=[[("A", "p", "B")], [("_:b", "q", "C")], [("A", "q", "C")]],
+         seeds=(iri("B"), iri("C")), requests=[(5, "isummary", 0), (3, "isummary", 0),
+                                               (5, "random", 1), (4, "isummary", 0)])
+# B's path draws _:u0, and C's draws _:u1 when k=3 extends the run
+@example(log=[[("A", "p", "?x"), ("?x", "q", "B")]] * 2 + [[("A", "?v", "?y"), ("?y", "?v", "C")]],
+         seeds=(iri("A"),), requests=[(2, "isummary", 0), (3, "isummary", 0)])
+# a seed that no query holds: every call raises
+@example(log=[[("A", "p", "B")]], seeds=(literal("7"),),
+         requests=[(2, "isummary", 0), (4, "random", 0), (2, "isummary", 0)])
+def test_a_shared_work_object_gives_every_request_its_own_summary(log, seeds, requests):
+    store = store_from_texts(_texts(log))
+    work = SummaryWork(store, seeds)
+    for k, strategy, random_seed in requests:
+        request = SummaryRequest(seeds, k, strategy, random_seed=random_seed)
+        try:
+            expected = summarize(store, request)
+        except NoRelevantQueries:
+            with pytest.raises(NoRelevantQueries):
+                summarize(store, request, work)
+            continue
+        assert summarize(store, request, work) == expected

@@ -13,11 +13,13 @@ from isummary.summarizer import (
     BUDGET_SHORTFALL,
     ISOLATED_NODE,
     MULTI_SEED_FALLBACK,
+    OFF_LEDGER_RESOURCE,
     RESOLVED_VARIABLE,
     UNRESOLVED_VARIABLE,
     InvalidRequest,
     NoRelevantQueries,
     SummaryRequest,
+    SummaryWork,
     _name_blind_key,
     link,
     node_frequencies,
@@ -594,6 +596,67 @@ def test_ntriples_rendering(university_store):
     assert to_ntriples(summary) == (
         "<Organization> <affiliatedOf> <Person> .\n<Person> <advisor> <Professor> .\n"
     )
+
+
+# -- a work object shared across requests ----------------------------------------
+
+def _shared_summaries(store, seed, budgets):
+    """The greedy summary at each budget in turn through one work object, each
+    checked equal to the one made without it; the last made per budget."""
+    work = SummaryWork(store, (seed,))
+    summaries = {}
+    for k in budgets:
+        request = SummaryRequest((seed,), k)
+        summaries[k] = summarize(store, request, work)
+        assert summaries[k] == summarize(store, request)
+    return summaries
+
+
+def test_shared_work_shortfall_only_at_the_larger_budget():
+    store = store_from_texts(["SELECT * WHERE {S p A}", "SELECT * WHERE {S q B}"])
+    summaries = _shared_summaries(store, iri("S"), [4, 2, 3, 4, 2])
+    assert BUDGET_SHORTFALL not in warning_kinds(summaries[2])
+    assert BUDGET_SHORTFALL not in warning_kinds(summaries[3])
+    assert [w.message for w in summaries[4].warnings if w.kind == BUDGET_SHORTFALL] == [
+        "only 2 candidate node(s) available for a budget of 3"]
+
+
+def test_shared_work_off_ledger_node_joins_the_ledger_at_the_larger_budget():
+    # T, U and Z tie at 2 queries, so the ledger takes them in term order;
+    # T's path runs through Z, which is off the ledger until k=4
+    store = store_from_texts(["SELECT * WHERE {S p Z . Z q T}"] * 2
+                             + ["SELECT * WHERE {S r U}"] * 2)
+    summaries = _shared_summaries(store, iri("S"), [4, 2, 3, 4, 2])
+    through_z = TriplePattern(iri("S"), iri("p"), iri("Z"))
+    for k, off_ledger in ((2, [iri("Z")]), (3, [iri("Z")]), (4, [])):
+        assert through_z in summaries[k].triples
+        assert [w.term for w in summaries[k].warnings
+                if w.kind == OFF_LEDGER_RESOURCE] == off_ledger
+
+
+def test_shared_work_draws_fresh_blanks_across_the_extension_point():
+    # neither ?v nor ?w has a concrete filler: T's path draws _:u0 at k=2,
+    # and U's draws _:u1 when k=3 extends the run
+    store = store_from_texts(["SELECT * WHERE {S p ?v . ?v q T}"] * 2
+                             + ["SELECT * WHERE {S r ?w . ?w s U}"])
+    summaries = _shared_summaries(store, iri("S"), [2, 3])
+    assert [w.term for w in summaries[2].warnings if w.kind == UNRESOLVED_VARIABLE] == [
+        blank("u0")]
+    assert [w.term for w in summaries[3].warnings if w.kind == UNRESOLVED_VARIABLE] == [
+        blank("u0"), blank("u1")]
+    assert TriplePattern(blank("u1"), iri("s"), iri("U")) in summaries[3].triples
+
+
+def test_shared_work_belongs_to_one_store_and_seed_tuple(university_store):
+    work = SummaryWork(university_store, (PERSON,))
+    summarize(university_store, SummaryRequest((PERSON,), 3), work)
+    with pytest.raises(ValueError):
+        summarize(university_store.subset(university_store.ids()),
+                  SummaryRequest((PERSON,), 3), work)
+    with pytest.raises(ValueError):
+        summarize(university_store, SummaryRequest((ORGANIZATION,), 3), work)
+    with pytest.raises(ValueError):
+        summarize(university_store, SummaryRequest((PERSON, ORGANIZATION), 3), work)
 
 
 # -- the random baseline ---------------------------------------------------------
