@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import itertools
 import logging
 from collections import Counter
 from pathlib import Path
@@ -210,7 +209,10 @@ class WorkloadStore:
         there) minus those over the parent's holders of ``anchor`` that the
         view lacks: a query counts once per term, and the view and the ids it
         lacks split the parent.  So the counts of a fold's train part cost a
-        scan of its test part once the whole store has counted the key.
+        scan of its test part once the whole store has counted the key.  A
+        view's counts are a sub-multiset of its parent's, so when the parent's
+        are empty the view's are too, with no scan at all.  The subtraction
+        works on a copy: the parent's memo is never mutated.
 
         An ``anchor`` outside the term index has empty counts, which are not
         memoized.  So every key is ``(concrete term of the store, slot, slot)``
@@ -227,21 +229,29 @@ class WorkloadStore:
             if parent is None:
                 counts = self._scan_slots(anchor, at, of, self.filter((anchor,)))
             else:
-                if self._held_out is None:
-                    self._held_out = parent._members - self._members
-                holders = self._held_out.intersection(self.term_index[anchor])
-                counts = (parent.slot_counts(anchor, anchor_slot, slot)
-                          - parent._scan_slots(anchor, at, of, holders))
+                counts = parent.slot_counts(anchor, anchor_slot, slot).copy()
+                if counts:
+                    if self._held_out is None:
+                        self._held_out = parent._members - self._members
+                    holders = self._held_out.intersection(self.term_index[anchor])
+                    # what Counter's `-` gives: no count goes negative, so
+                    # only the zeros are dropped
+                    for term, n in parent._scan_slots(anchor, at, of, holders).items():
+                        n = counts[term] - n
+                        if n:
+                            counts[term] = n
+                        else:
+                            del counts[term]
             self._slot_counts[key] = counts
         return counts
 
     def _scan_slots(self, anchor: Term, at: int, of: int, ids: Iterable[int]) -> Counter:
         by_id = self._by_id
-        # one Counter over every query's set: a query counts once per term
-        return Counter(itertools.chain.from_iterable(
-            {p[of] for p in by_id[qid].patterns if p[at] == anchor and p[of].concrete}
-            for qid in ids
-        ))
+        # one set of (id, term) pairs: a query counts once per term
+        return Counter([term for _, term in {
+            (qid, p[of]) for qid in ids for p in by_id[qid].patterns
+            if p[at] == anchor and p[of].kind != VARIABLE
+        }])
 
     def _view(self, members: AbstractSet[int],
               held_out: set[int] | None = None) -> "WorkloadStore":

@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 from pathlib import Path
 from urllib.parse import quote
 
@@ -599,6 +600,48 @@ def test_split_partitions_a_store_and_derives_train_counts(data, texts):
             assert train.slot_counts(*key) == expected
             assert train_direct.slot_counts(*key) == expected
             assert test.slot_counts(*key) == scanned_slot_counts(test, *key)
+
+
+def _slot_keys(store):
+    """Every (anchor, anchor slot, slot) key over the store's concrete terms."""
+    return [(anchor, anchor_slot, slot) for anchor in sorted(store.term_index)
+            for anchor_slot in _SLOTS for slot in _SLOTS if slot != anchor_slot]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), texts=_query_texts)
+def test_deriving_train_counts_leaves_the_parents_counts_intact(data, texts):
+    root = store_from_texts(texts)
+    ids = root.ids()
+    asked = data.draw(st.lists(st.sampled_from(ids), max_size=(len(ids) - 1) // 2))
+    train, _ = root.split(asked)
+    assert train._parent is root
+    keys = _slot_keys(root)
+    # the train view derives each key from the root's memoized counts
+    for key in keys:
+        assert train.slot_counts(*key) == scanned_slot_counts(train, *key)
+    for key in keys:
+        assert root.slot_counts(*key) == scanned_slot_counts(root, *key)
+
+
+def test_train_counts_of_a_key_the_parent_lacks_need_no_scan(monkeypatch):
+    root = store_from_texts([
+        "SELECT * WHERE { ?x p A . ?x q ?y }",
+        "SELECT * WHERE { ?x p B }",
+        "SELECT * WHERE { ?y p A . B q C }",
+    ])
+    key = (iri("p"), "predicate", "subject")  # p's subjects are all variables
+    assert root.slot_counts(*key) == Counter()
+    train, _ = root.split([2])
+    assert train._parent is root
+
+    def spy(*args):
+        raise AssertionError("_scan_slots called")
+
+    monkeypatch.setattr(WorkloadStore, "_scan_slots", spy)
+    counts = train.slot_counts(*key)
+    assert counts == Counter() and train._slot_counts[key] is counts
+    assert train.slot_counts(*key) is counts
 
 
 @settings(max_examples=200, deadline=None)
