@@ -2,7 +2,7 @@ import hashlib
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isummary.rng import XorShift64Star, splitmix64
@@ -83,6 +83,30 @@ def test_shuffle_tail_matches_shuffle(seed, n):
         assert ys[n - count:] == xs[n - count:]
         assert sorted(ys) == list(range(n))
         assert rng._state == stream.state
+
+
+# the draws run in lanes of 256 steps: tails that end just before, at and just
+# after the first two lane boundaries, and the full shuffle
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=MASK), n=st.integers(min_value=0, max_value=3000))
+@example(seed=11, n=257)   # the full shuffle's 256 draws fill one lane
+@example(seed=11, n=258)
+@example(seed=11, n=513)
+@example(seed=11, n=514)
+@example(seed=11, n=3000)
+def test_shuffle_tail_matches_oracle_across_lane_boundaries(seed, n):
+    stream = oracle.Stream(seed)
+    xs = list(range(n))
+    stream.shuffle(xs)
+    after = stream.next_u64()
+    for count in (255, 256, 257, 511, 512, 513, n):
+        if count > n:
+            continue
+        rng = XorShift64Star(seed)
+        ys = list(range(n))
+        rng.shuffle_tail(ys, count)
+        assert ys[n - count:] == xs[n - count:]
+        assert rng.next_u64() == after
 
 
 def test_shuffle_tail_size_out_of_range():
