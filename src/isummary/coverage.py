@@ -14,6 +14,7 @@ import hashlib
 import math
 from bisect import bisect_right
 from collections import Counter
+from itertools import compress
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -196,21 +197,23 @@ def _node_holders(store: WorkloadStore, counts: Counter,
     return holders
 
 
-def _seed_pool(order: list[Term], holders: list[Sequence[int]],
+def _seed_pool(order: list[Term], holders: list[Sequence[int]], firsts: list[int],
                test_ids: set[int]) -> _SeedPool:
     """The node terms of the fold's train part, in sort order.
 
     ``order`` is the node terms of the whole store that the train and test
     parts split, in sort order, ``holders[i]`` the ids of the store's
     queries holding ``order[i]`` as a node, ascending (never empty; see
-    ``_node_holders``), and ``test_ids`` the test part's ids.  A term is a
-    train node exactly when some holder is not a test id, so the pool drops
-    term ``i`` when all its holders are test ids.  The test stops at the
-    first holder that is not one, in C: a term whose first holder is a
-    train id costs one lookup.
+    ``_node_holders``), ``firsts[i]`` is ``holders[i][0]``, and ``test_ids``
+    the test part's ids.  A term is a train node exactly when some holder
+    is not a test id, so the pool drops term ``i`` when all its holders are
+    test ids.  Most terms' first holder is a train id, so a C pass over
+    ``firsts`` keeps only the others, and ``issuperset`` tests their
+    remaining holders.
     """
     all_test = test_ids.issuperset
-    return _SeedPool(order, [i for i, ids in enumerate(holders) if all_test(ids)])
+    candidates = compress(range(len(order)), map(test_ids.__contains__, firsts))
+    return _SeedPool(order, [i for i in candidates if all_test(holders[i])])
 
 
 def _sample_seed_terms(pool: Sequence[Term], store: WorkloadStore, test_ids: set[int],
@@ -248,15 +251,18 @@ def evaluate(
     (seed, k, strategy) cell.  Rows come back sorted so parallel or repeated
     runs emit identical bytes.
 
-    The shuffle runs only as far as the test part (``shuffle_tail``): the
-    train part is a view in the store's order, so only its member set and the
-    rng state that seed sampling continues from matter.  Apart from its
-    summaries, a fold costs its test part: ``store.split`` makes both views
-    from the test ids, and ``_seed_pool`` reads each node term's holders
-    (``_node_holders``), listed once per call from the store's postings.
+    The shuffle runs only as far as the test part (``shuffle_tail``, whose
+    draws step in lanes): the train part is a view in the store's order, so
+    only its member set and the rng state that seed sampling continues from
+    matter.  Apart from its summaries, a fold costs its test part:
+    ``store.split`` makes both views from the test ids (the train view's
+    slot counts derive from the store's, with no scan for a key the store
+    has no counts for), and ``_seed_pool`` tests each node term's first
+    holder in C and the rest of its holders only when that one is a test id
+    (holders from ``_node_holders`` and first holders, listed once per call).
 
-    A seed's cells share one ``SummaryWork``: its relevant set, node counts
-    and random pool are built once, and its greedy cells read prefixes of
+    A seed's cells share one ``SummaryWork``: its relevant set, node counts,
+    random pool and candidate edges are built once, and its greedy cells read prefixes of
     one run to the largest k, so the order of ``k_values`` and
     ``strategies`` changes no row.  Each cell is still one ``summarize``
     and one ``coverage`` call.
@@ -267,6 +273,7 @@ def evaluate(
     counts = node_frequencies(store, all_ids)
     order = sorted(counts)
     holders = _node_holders(store, counts, order)
+    firsts = [ids[0] for ids in holders]
     rows: list[EvalRow] = []
     warnings: list[str] = []
     fold_means: list[float] = []
@@ -280,8 +287,8 @@ def evaluate(
             raise InsufficientWorkload(f"fold {fold} has an empty train or test part")
         test_ids = set(ids[cut:])
         train, test = store.split(test_ids)
-        seeds = _sample_seed_terms(_seed_pool(order, holders, test_ids), store, test_ids,
-                                   config.sample_seeds, rng)
+        seeds = _sample_seed_terms(_seed_pool(order, holders, firsts, test_ids), store,
+                                   test_ids, config.sample_seeds, rng)
         if len(seeds) < config.sample_seeds:
             warnings.append(f"{SEED_SAMPLING_SHORTFALL}: drew {len(seeds)} of"
                             f" {config.sample_seeds} seeds in fold {fold}")

@@ -191,7 +191,7 @@ def test_sampled_seeds_occur_in_test_part():
     ])
     test = store.subset([1])
     _, order, holders = _pool_inputs(store)
-    pool = _seed_pool(order, holders, set(test.ids()))
+    pool = _seed_pool(order, holders, [ids[0] for ids in holders], set(test.ids()))
     assert list(pool) == [iri("Lab"), PERSON]
     for rng_seed in range(20):
         # a shortfall: evaluate warns for it
@@ -221,7 +221,7 @@ def test_seed_pool_is_the_train_parts_sorted_nodes(log, test_ids):
     # oracle: the seed pool as each fold once built it, the train part's node counts, sorted
     records = {q.id: q.patterns for q in store.queries}
     train_counts = oracle.node_frequencies(records, train.ids())
-    pool = _seed_pool(order, holders, set(test.ids()))
+    pool = _seed_pool(order, holders, [ids[0] for ids in holders], set(test.ids()))
     assert list(pool) == sorted(train_counts, key=oracle.sort_key)
 
 
@@ -277,7 +277,7 @@ def test_seed_pool_draws_match_list_oracle(log, test_ids):
     store = store_from_texts(_texts(log))
     test = store.subset(test_ids)
     counts, order, holders = _pool_inputs(store)
-    pool = _seed_pool(order, holders, set(test.ids()))
+    pool = _seed_pool(order, holders, [ids[0] for ids in holders], set(test.ids()))
     expected = _list_pool(counts, order, test)
     assert len(pool) == len(expected)
     assert [pool[i] for i in range(len(pool))] == expected
