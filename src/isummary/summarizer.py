@@ -305,7 +305,8 @@ def _relevant_ids(store: WorkloadStore, seeds: Sequence[Term]):
 class SummaryWork:
     """What the summaries of one store and seed tuple share, built as they
     first need it: the relevant ids and their warnings, the node counts
-    without the seeds, the random strategy's sorted pool, and one greedy run.
+    without the seeds, the random strategy's sorted pool and its candidate
+    edges per node, and one greedy run.
 
     Greedy summaries are prefix-nested in the budget.  So the run attaches
     the other seeds, then the top nodes in ledger order, and records after
@@ -315,7 +316,7 @@ class SummaryWork:
     every call raises ``NoRelevantQueries``.
     """
 
-    __slots__ = ("store", "seeds", "_relevant", "_counts", "_pool", "_visited",
+    __slots__ = ("store", "seeds", "_relevant", "_counts", "_pool", "_edges", "_visited",
                  "_triples", "_warnings", "_blanks", "_rows", "_ends")
 
     def __init__(self, store: WorkloadStore, seeds: Sequence[Term]):
@@ -324,6 +325,7 @@ class SummaryWork:
         self._relevant: tuple[set[int], list[SummaryWarning]] | None = None
         self._counts: Counter | None = None
         self._pool: list[Term] | None = None
+        self._edges: dict[Term, list[TriplePattern]] = {}
         # the greedy run, started by its first request
         self._visited = [self.seeds[0]]
         self._triples: dict[TriplePattern, None] = {}
@@ -350,6 +352,18 @@ class SummaryWork:
         if self._pool is None:
             self._pool = sorted(self.counts())
         return self._pool
+
+    def edges(self, term: Term) -> list[TriplePattern]:
+        """The random strategy's candidate edges at ``term``: those of
+        ``_incident_edges``, one per class of edges equal up to variable
+        renaming, in the order of a key blind to variable names, so names
+        cannot sway the draw."""
+        edges = self._edges.get(term)
+        if edges is None:
+            candidates = {_name_blind_key(e): e
+                          for e in _incident_edges(self.store, self.relevant()[0], term)}
+            edges = self._edges[term] = [candidates[key] for key in sorted(candidates)]
+        return edges
 
     def _attach(self, term: Term) -> None:
         """Link ``term`` to the run's visited nodes by its ``link`` path."""
@@ -406,10 +420,8 @@ def _incident_edges(store: WorkloadStore, relevant: set[int], term: Term) -> set
 def _random_summary(work: SummaryWork, random_seed: int, budget: int,
                    warnings: list[SummaryWarning]) -> tuple:
     """Name-blind draws from the pinned stream: ``budget`` nodes of ``work``'s
-    pool, then one edge at each from ``_incident_edges``; returns the triples
+    pool, then one edge at each from ``work.edges``; returns the triples
     and the nodes' ledger rows."""
-    store = work.store
-    relevant = work.relevant()[0]
     freq = work.counts()
     pool = work.pool()
     rng = XorShift64Star(random_seed)
@@ -418,23 +430,20 @@ def _random_summary(work: SummaryWork, random_seed: int, budget: int,
         warnings.append(_budget_shortfall(len(chosen), budget))
     # an ordered set: each triple once, in first-seen order
     triples: dict[TriplePattern, None] = {}
-    blanks = _fresh_blanks(store)
+    blanks = _fresh_blanks(work.store)
 
     # ledger stays sorted by weight so the frequency column is non-increasing
     selected = sorted(((t, freq[t]) for t in chosen), key=_ledger_order)
     for term, _ in selected:
-        # edges equal up to variable renaming are one candidate, ordered by a
-        # key blind to variable names, so names cannot sway the draw
-        candidates = {_name_blind_key(e): e for e in _incident_edges(store, relevant, term)}
-        if not candidates:
+        edges = work.edges(term)
+        if not edges:
             warnings.append(SummaryWarning(
                 ISOLATED_NODE,
                 f"{term.to_sparql()} has no incident edge in the relevant queries",
                 term,
             ))
             continue
-        keys = sorted(candidates)
-        edge = candidates[keys[rng.randrange(len(keys))]]
+        edge = edges[rng.randrange(len(edges))]
         if not edge.predicate.concrete:
             warnings.append(SummaryWarning(
                 UNRESOLVED_VARIABLE,
