@@ -243,12 +243,45 @@ def test_greedy_summaries_are_prefix_nested_in_k_on_university_log():
 
 # -- one work object across requests --------------------------------------------
 
+# variable-heavy logs: a concrete node is only ever the subject of p or the
+# object of q, so no query gives a waypoint variable a concrete filler and every
+# path through one draws a fresh blank, after a greedy run's first extension too
+_SEED_TERMS = {"A": iri("A"), "B": iri("B"), "C": iri("C"), "_:b": blank("b")}
+_ENDS = st.sampled_from(list(_SEED_TERMS))
+_VARIABLE_NODES = st.sampled_from(["?x", "?y"])
+_variable_heavy_logs = st.lists(
+    st.lists(
+        st.one_of(
+            st.tuples(_ENDS, st.just("p"), _VARIABLE_NODES),
+            st.tuples(_VARIABLE_NODES, st.just("q"), _ENDS),
+            st.tuples(_VARIABLE_NODES, st.sampled_from(["r", "?v"]), _VARIABLE_NODES),
+        ),
+        min_size=2, max_size=5,
+    ),
+    min_size=1, max_size=8,
+)
+
 # budgets from a narrow range, so a sequence goes up, down and repeats itself
 _work_requests = st.lists(
     st.tuples(st.integers(min_value=2, max_value=7), st.sampled_from(["isummary", "random"]),
               st.integers(min_value=0, max_value=2**32)),
     min_size=1, max_size=10,
 )
+
+
+def _check_shared_work(log, seeds, requests):
+    """Every request made on one work object equals the one made without it."""
+    store = store_from_texts(_texts(log))
+    work = SummaryWork(store, seeds)
+    for k, strategy, random_seed in requests:
+        request = SummaryRequest(seeds, k, strategy, random_seed=random_seed)
+        try:
+            expected = summarize(store, request)
+        except NoRelevantQueries:
+            with pytest.raises(NoRelevantQueries):
+                summarize(store, request, work)
+            continue
+        assert summarize(store, request, work) == expected
 
 
 @settings(max_examples=200, deadline=None, phases=[Phase.explicit, Phase.generate])
@@ -265,14 +298,14 @@ _work_requests = st.lists(
 @example(log=[[("A", "p", "B")]], seeds=(literal("7"),),
          requests=[(2, "isummary", 0), (4, "random", 0), (2, "isummary", 0)])
 def test_a_shared_work_object_gives_every_request_its_own_summary(log, seeds, requests):
-    store = store_from_texts(_texts(log))
-    work = SummaryWork(store, seeds)
-    for k, strategy, random_seed in requests:
-        request = SummaryRequest(seeds, k, strategy, random_seed=random_seed)
-        try:
-            expected = summarize(store, request)
-        except NoRelevantQueries:
-            with pytest.raises(NoRelevantQueries):
-                summarize(store, request, work)
-            continue
-        assert summarize(store, request, work) == expected
+    _check_shared_work(log, seeds, requests)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=_variable_heavy_logs,
+       seeds=st.lists(st.sampled_from(list(_SEED_TERMS.values())), min_size=1, max_size=2,
+                      unique=True).map(tuple),
+       requests=_work_requests)
+def test_a_shared_work_object_on_variable_heavy_logs(log, seeds, requests):
+    _check_shared_work(log, seeds, requests)
+
