@@ -14,8 +14,8 @@ import hashlib
 import math
 from bisect import bisect_right
 from collections import Counter
-from itertools import compress
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .rng import XorShift64Star
@@ -262,8 +262,8 @@ def evaluate(
     (holders from ``_node_holders`` and first holders, listed once per call).
 
     A seed's cells share one ``SummaryWork``: its relevant set, node counts,
-    random pool and candidate edges are built once, and its greedy cells read prefixes of
-    one run to the largest k, so the order of ``k_values`` and
+    random pool and candidate edges are built once, and its greedy cells
+    read prefixes of one run to the largest k, so the order of ``k_values`` and
     ``strategies`` changes no row.  Each cell is still one ``summarize``
     and one ``coverage`` call.
     """
